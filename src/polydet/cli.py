@@ -15,6 +15,7 @@ import os
 import statistics
 import sys
 import time
+import traceback
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import anomaly as _anomaly
 from . import engines as _engines
 from . import symbolic as _symbolic
 from . import verify as _verify
+from .combinatorics import GuardLimitError
 from .matrices import load_matrix_file, random_matrix
 
 EXIT_OK = 0
@@ -100,7 +102,8 @@ def run_bench(
 ) -> list[tuple[str, int, float, float]]:
     """Wall-clock rows (engine, n, mean_ns, stddev_ns) on seeded inputs.
 
-    One warm-up evaluation per cell is discarded before timing.
+    One warm-up evaluation per cell is discarded before timing.  A cell whose
+    engine is guarded out at that n has no row; any other error propagates.
     """
     rows = []
     for name in engine_names:
@@ -109,7 +112,7 @@ def run_bench(
             mats = [random_matrix(n, seed + k, "general") for k in range(n)]
             try:
                 fn(mats)  # warm-up, also trips the guard early
-            except Exception:
+            except GuardLimitError:
                 continue
             samples = []
             for _ in range(repetitions):
@@ -271,6 +274,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"polydet: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # unexpected: keep the traceback, still end as exit 2 with the message
+        traceback.print_exc()
+        print(f"polydet: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

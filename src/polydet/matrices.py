@@ -1,8 +1,10 @@
 """Dense complex matrix helpers shared by every engine.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128 with shape
-(n, n).  All functions are pure; nothing here holds global state apart from
-the per-call PRNG created by :func:`random_matrix`.
+(n, n).  :func:`det` also takes a (B, n, n) stack and returns B values in
+one call, which is how the subset-sum engine evaluates its determinants
+chunk by chunk.  All functions are pure; nothing here holds global state
+apart from the per-call PRNG created by :func:`random_matrix`.
 """
 
 from __future__ import annotations
@@ -39,22 +41,28 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a matrix whose determinant is below the floor."""
 
 
-def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array and reject non-finite entries."""
+def _as_square(m, name: str, ndim: int) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"{name} must be square with n >= 1, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        what = "square" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"{name} must be {what} with n >= 1, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def validate_matrix_tuple(mats: Iterable) -> tuple[int, tuple[np.ndarray, ...]]:
+def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex128 array and reject non-finite entries."""
+    return _as_square(m, name, 2)
+
+
+def validate_matrix_tuple(mats: Iterable) -> tuple[int, np.ndarray]:
     """Validate an argument tuple: n matrices, each n x n, all finite.
 
-    Returns (n, matrices) with every matrix coerced to complex128.
+    Returns (n, stack) with the matrices coerced to complex128 and stacked
+    into one (n, n, n) array; ``stack[k]`` is argument k.
     """
-    out = tuple(as_matrix(m, name=f"matrix {i}") for i, m in enumerate(mats))
+    out = [as_matrix(m, name=f"matrix {i}") for i, m in enumerate(mats)]
     if not out:
         raise ValueError("matrix tuple is empty")
     n = out[0].shape[0]
@@ -63,41 +71,58 @@ def validate_matrix_tuple(mats: Iterable) -> tuple[int, tuple[np.ndarray, ...]]:
     for i, m in enumerate(out):
         if m.shape[0] != n:
             raise ValueError(f"matrix {i} has dimension {m.shape[0]}, expected {n}")
-    return n, out
+    return n, np.stack(out)
 
 
-def _det_cofactor(a: np.ndarray) -> complex:
-    n = a.shape[0]
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return complex(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-    raise ValueError(f"cofactor determinant only implemented for n <= 3, got n={n}")
+#: (rows, permutations, signs) of the closed-form expansion for n = 1, 2, 3
+_CLOSED_FORM = {
+    n: (np.arange(n), np.array(perms), np.array(signs))
+    for n, perms, signs in (
+        (1, [[0]], [1.0]),
+        (2, [[0, 1], [1, 0]], [1.0, -1.0]),
+        (3, [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]],
+         [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]),
+    )
+}
 
 
-def det(m, method: str = "auto") -> complex:
-    """Determinant of a complex square matrix.
+def _det_cofactor(a: np.ndarray) -> np.ndarray:
+    """Closed-form determinants of a (B, n, n) stack, n <= 3.
+
+    The n! signed products sum_sigma sgn(sigma) prod_i a[i, sigma(i)] (the
+    rule of Sarrus at n = 3), gathered by one index; exact on small-integer
+    entries.
+    """
+    n = a.shape[-1]
+    if n > 3:
+        raise ValueError(f"cofactor determinant only implemented for n <= 3, got n={n}")
+    rows, perms, signs = _CLOSED_FORM[n]
+    return (a[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
+
+
+def det(m, method: str = "auto"):
+    """Determinant of a complex square matrix, or of every matrix in a stack.
+
+    An (n, n) matrix gives a complex; a (B, n, n) stack gives a (B,)
+    complex128 array.  Both run the same code, a matrix as a stack of one.
 
     method:
         "auto"      closed-form cofactor expansion for n <= 3, LU for n >= 4
         "cofactor"  explicit closed form, n <= 3 only
         "lu"        LU factorization with partial pivoting (LAPACK) for any n
     """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if method == "cofactor":
-        return _det_cofactor(a)
-    if method == "lu":
-        return complex(np.linalg.det(a))
+    a = np.asarray(m, dtype=np.complex128)
+    single = a.ndim != 3
+    stack = _as_square(a, "matrix", 2)[None] if single else _as_square(a, "matrix stack", 3)
     if method == "auto":
-        return _det_cofactor(a) if n <= 3 else complex(np.linalg.det(a))
-    raise ValueError(f"unknown determinant method {method!r}")
+        method = "cofactor" if stack.shape[-1] <= 3 else "lu"
+    if method == "cofactor":
+        d = _det_cofactor(stack)
+    elif method == "lu":
+        d = np.linalg.det(stack)
+    else:
+        raise ValueError(f"unknown determinant method {method!r}")
+    return complex(d[0]) if single else d
 
 
 def trace(m) -> complex:

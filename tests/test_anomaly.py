@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +417,12 @@ def test_vertices_tadpole_requires_both_knobs():
         vertices = dict(enumerate_vertices(c))
         present = (("s", 2, 0),) in vertices
         assert present == (c3 != 0.0 and f0 != 0.0)
+
+
+def test_vertices_of_bundled_couplings_count():
+    path = Path(__file__).resolve().parent.parent / "configs" / "couplings.json"
+    couplings = couplings_from_json(json.loads(path.read_text()))
+    assert len(enumerate_vertices(couplings)) == 987
 
 
 def test_vertices_empty_for_zero_couplings():

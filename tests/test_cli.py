@@ -169,6 +169,21 @@ def test_bench_unknown_engine_exits_2(capsys):
     assert cli.main(["bench", "--engine", "quantum"]) == 2
 
 
+def test_bench_guarded_cell_is_skipped(capsys):
+    code, out = run_cli(capsys, "bench", "--n", "6,7", "--engine", "naive", "--trials", "1")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.strip().splitlines()[1:]] == [["naive", "6"]]
+
+
+def test_bench_engine_failure_exits_2_with_message(capsys, monkeypatch):
+    def broken(mats):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setitem(polydet.engines.ENGINES, "volume", broken)
+    assert cli.main(["bench", "--n", "2", "--engine", "volume", "--trials", "1"]) == 2
+    assert "engine exploded" in capsys.readouterr().err
+
+
 def test_bench_pair_sum_beats_index_sum():
     rows = {name: mean for name, _, mean, _ in cli.run_bench([4], ["naive", "permutation_pair"], repetitions=5, seed=2)}
     assert rows["permutation_pair"] < rows["naive"]

@@ -1,9 +1,18 @@
+import itertools
+import json
+import math
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet.combinatorics import GuardLimitError
+from polydet.anomaly import assemble_field_matrix, build_generators, field_config_from_json
+import polydet.engines as engines_module
+from polydet.combinatorics import SUBSET_MAX_N, GuardLimitError, permutation_sign
 from polydet.engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -16,6 +25,8 @@ from polydet.engines import (
     polydet_volume,
 )
 from polydet.matrices import det, identity, random_matrix, trace
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 A2 = np.array([[1, 2], [3, 4]], dtype=complex)
 B2 = np.array([[5, 6], [7, 8]], dtype=complex)
@@ -364,3 +375,132 @@ def test_det_of_sum_fewer_summands_than_dimension():
 def test_det_of_sum_dimension_mismatch():
     with pytest.raises(ValueError):
         det_of_sum([identity(2), identity(3)])
+
+
+# --- stacked, norm-scaled subset-sum kernel -------------------------------------
+
+
+def subset_loop_reference(mats):
+    """Inclusion-exclusion written out subset by subset, one LAPACK det each."""
+    n = len(mats)
+    total = 0.0 + 0.0j
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(mats, size):
+            total += (-1) ** (n - size) * np.linalg.det(np.sum(subset, axis=0))
+    return total / math.factorial(n)
+
+
+@pytest.mark.parametrize("low_bits", (1, 3, 8))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subset_sum_matches_explicit_subset_loop(n, low_bits, monkeypatch):
+    # a narrower subset-sum table splits the same sum into more chunks
+    monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
+    for seed in range(5):
+        mats = rand_tuple(n, 3000 + 10 * n + seed)
+        assert_close(polydet_subset_sum(mats).value, subset_loop_reference(mats))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subset_sum_zero_argument_gives_exact_zero(n):
+    mats = rand_tuple(n, 3100 + n)
+    mats[n // 2] = np.zeros((n, n))
+    assert polydet_subset_sum(mats).value == 0
+    assert abs(subset_loop_reference(mats)) < 1e-9
+
+
+def gaussian_rational_permanent(rows):
+    """perm of a matrix of (re, im) Fraction pairs by Ryser's formula, exactly."""
+    n = len(rows)
+    total = (Fraction(0), Fraction(0))
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            prod = (Fraction((-1) ** size), Fraction(0))
+            for row in rows:
+                re = sum((row[j][0] for j in cols), Fraction(0))
+                im = sum((row[j][1] for j in cols), Fraction(0))
+                prod = (prod[0] * re - prod[1] * im, prod[0] * im + prod[1] * re)
+            total = (total[0] + prod[0], total[1] + prod[1])
+    sign = (-1) ** n
+    return sign * total[0], sign * total[1]
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10))
+def test_subset_sum_exact_on_scaled_commuting_tuples(n):
+    # A_k = s_k U diag(d_k) U^H share an eigenbasis, so eps = prod(s_k) perm(D) / N!
+    # with D[k][j] = d_k[j]; norms spread log-uniformly over twelve decades
+    for seed in range(3):
+        rng = np.random.default_rng([3200, n, seed])
+        d = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        u = haar_unitary(rng, n)
+        mats = [s * (u * row) @ u.conj().T for s, row in zip(scales, d)]
+        rows = [[(Fraction(int(x.real)), Fraction(int(x.imag))) for x in row] for row in d]
+        re, im = gaussian_rational_permanent(rows)
+        weight = math.prod(Fraction(float(s)) for s in scales) / math.factorial(n)
+        exact = complex(float(re * weight), float(im * weight))
+        assert exact != 0
+        got = polydet_subset_sum(mats).value
+        assert abs(got - exact) <= 1e-9 * abs(exact)
+
+
+def exact_eps3(mats):
+    """eps of three 3x3 matrices by the subset-sum identity over exact rationals."""
+
+    def entry(x):
+        return Fraction(float(x.real)), Fraction(float(x.imag))
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    exact = [[[entry(x) for x in row] for row in np.asarray(m)] for m in mats]
+    total = (Fraction(0), Fraction(0))
+    for size in range(1, 4):
+        for subset in itertools.combinations(exact, size):
+            s = [
+                [(sum(m[i][j][0] for m in subset), sum(m[i][j][1] for m in subset)) for j in range(3)]
+                for i in range(3)
+            ]
+            for perm in itertools.permutations(range(3)):
+                term = (Fraction((-1) ** (3 - size) * permutation_sign(perm)), Fraction(0))
+                for i in range(3):
+                    term = mul(term, s[i][perm[i]])
+                total = (total[0] + term[0], total[1] + term[1])
+    return complex(float(total[0] / 6), float(total[1] / 6))
+
+
+@pytest.mark.parametrize("f0", (1e5, 1e7))
+def test_subset_sum_shifted_vacuum_at_large_f0(f0):
+    # eps(A1 + f0 t^0, A1 + f0 t^0, A2) on the bundled three-flavor fields: the
+    # shifted argument is f0 times the others, and with arguments scaled to unit
+    # size the n = 3 value stays within a few hundred ulps of the exact one
+    cfg = field_config_from_json(json.loads((REPO_ROOT / "configs" / "fields_n3.json").read_text()))
+    basis = build_generators(3)
+    a1, a2 = (assemble_field_matrix(basis, m.s, m.p) for m in cfg.multiplets)
+    shifted = a1 + f0 * basis.generators[0]
+    got = polydet_subset_sum([shifted, shifted, a2]).value
+    exact = exact_eps3([shifted, shifted, a2])
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def test_subset_sum_memory_is_bounded_at_n15():
+    # a full 2^15-row table of 15 x 15 sums would be 118 MB
+    mats = rand_tuple(15, 3400)
+    tracemalloc.start()
+    try:
+        polydet(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_subset_sum_guard():
+    n = SUBSET_MAX_N + 1
+    with pytest.raises(GuardLimitError):
+        polydet([np.eye(n)] * n)

@@ -38,6 +38,26 @@ def test_det_lu_matches_cofactor_small():
             assert abs(det(m, "lu") - det(m, "cofactor")) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_of_stack_matches_each_matrix(n):
+    stack = np.stack([random_matrix(n, 700 + k) for k in range(5)])
+    got = det(stack)
+    assert got.shape == (5,) and got.dtype == np.complex128
+    for d, m in zip(got, stack):
+        assert abs(d - det(m)) <= 1e-14 * abs(d)
+        assert abs(d - np.linalg.det(m)) <= 1e-12 * max(1.0, abs(d))
+
+
+def test_det_of_stack_methods_and_errors():
+    stack = np.stack([random_matrix(3, 710 + k) for k in range(4)])
+    assert np.allclose(det(stack, "cofactor"), det(stack, "lu"), rtol=1e-12, atol=0)
+    assert det(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        det(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        det(np.full((2, 2, 2), np.nan))
+
+
 def test_det_cofactor_rejects_large():
     with pytest.raises(ValueError):
         det(random_matrix(4, 0), "cofactor")
@@ -98,6 +118,7 @@ def test_as_matrix_rejects_bad_shapes():
 def test_validate_matrix_tuple():
     n, mats = validate_matrix_tuple([identity(2), identity(2)])
     assert n == 2 and len(mats) == 2
+    assert mats.shape == (2, 2, 2) and mats.dtype == np.complex128
     with pytest.raises(ValueError):
         validate_matrix_tuple([identity(2)])
     with pytest.raises(ValueError):
