@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: compute, expand, verify, bench, anomaly.  Exit codes: 0 on
-success, 1 when a verification fails, 2 on usage or input errors.  The
-environment variable POLYDET_THREADS caps parallelism (0 = sequential).
+success, 1 when a verification fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import statistics
 import sys
 import time
@@ -46,14 +44,6 @@ def _parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _threads() -> int:
-    raw = os.environ.get("POLYDET_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -85,7 +75,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         n_values=_parse_n_range(args.n),
         engines=_engines.ENGINES,
-        threads=_threads(),
     )
     if args.json:
         _emit(_verify.report_json(results), args.out)

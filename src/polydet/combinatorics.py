@@ -1,5 +1,5 @@
-"""Permutation, subset and partition machinery for the engines and the
-symbolic layer.
+"""Permutation, subset, partition and cyclic trace-word machinery shared by
+the engines and the symbolic layer.
 
 Index conventions follow the tensor notation: permutation images and
 Levi-Civita arguments are one-based.  Partition vectors (n1, ..., nN) count
@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -21,6 +22,8 @@ __all__ = [
     "permutation_sign",
     "levi_civita",
     "enumerate_partition_vectors",
+    "partition_segments",
+    "canonicalize",
     "cayley_hamilton_coefficient",
     "multinomial",
     "count_distinct_terms",
@@ -113,6 +116,33 @@ def enumerate_partition_vectors(n: int) -> list[tuple[int, ...]]:
     fill(n, 1, [])
     found.sort(key=lambda c: (-sum(c), tuple(-x for x in c)))
     return found
+
+
+@lru_cache(maxsize=16)
+def partition_segments(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """Trace template of every partition class of n, in partition-vector order.
+
+    Each entry is (counts, segments): the (offset, length) slots that cut a
+    word of n letters into the class's trace factors, shortest first.
+    """
+    out = []
+    for counts in enumerate_partition_vectors(n):
+        segs: list[tuple[int, int]] = []
+        pos = 0
+        for length, ct in enumerate(counts, start=1):
+            for _ in range(ct):
+                segs.append((pos, length))
+                pos += length
+        out.append((counts, tuple(segs)))
+    return tuple(out)
+
+
+def canonicalize(word: Sequence) -> tuple:
+    """Lexicographically minimal rotation of a cyclic trace word; idempotent."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("empty trace word")
+    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def _validate_partition_vector(counts: Sequence[int]) -> int:

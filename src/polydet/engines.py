@@ -4,8 +4,8 @@ For an argument tuple (A_1, ..., A_N) of N complex N x N matrices the value
 is the symmetric N-linear function that collapses to det(A) when all
 arguments coincide.  The engines compute it by genuinely different routes:
 
-    naive             full index sums against the antisymmetric symbol,
-                      zero terms skipped:
+    naive             index sums against the antisymmetric symbol, over
+                      the N! index tuples where it is non-zero:
                       (1/N!) sum_{i,i'} eps(i) eps(i') prod_k A_k[i_k, i'_k]
     permutation_pair  double sum over permutation pairs (sigma, mu):
                       (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)]
@@ -19,8 +19,10 @@ arguments coincide.  The engines compute it by genuinely different routes:
                       (1/N!) sum_sigma sgn(sigma) det(slot i holds row sigma(i) of A_i)
 
 Agreement of all five on random tuples is the package's core cross-check.
-Each public engine validates its tuple once, into an (N, N, N) stack, and
-its kernel works on that stack.
+One table maps each engine name to its kernel and its guard (the largest N
+it accepts).  A public call validates its tuple once, into an (N, N, N)
+stack, and the kernel works on that trusted stack; ``det_of_sum``
+validates its summands once and calls the kernel for every composition.
 """
 
 from __future__ import annotations
@@ -36,15 +38,16 @@ import numpy as np
 from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
+    canonicalize,
     cayley_hamilton_coefficient,
     compositions,
-    enumerate_partition_vectors,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     levi_civita,
     multinomial,
+    partition_segments,
     permutation_sign,
 )
-from .matrices import det, validate_matrix_tuple
+from .matrices import as_stack, det, validate_matrix_tuple, word_traces
 
 __all__ = [
     "PolydetResult",
@@ -58,11 +61,6 @@ __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
 ]
-
-NAIVE_MAX_N = 6
-PERMUTATION_PAIR_MAX_N = 8
-TRACE_FORMULA_MAX_N = 7
-VOLUME_MAX_N = 8
 
 # elements per temporary block in the vectorized permutation-pair product
 _CHUNK_ELEMENTS = 1 << 22
@@ -85,25 +83,17 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def _guard(n: int, limit: int, engine: str) -> None:
-    if n > limit:
-        raise GuardLimitError(f"engine {engine!r} guarded at n <= {limit}, got n={n}")
-
-
-def _naive_value(mats: Sequence[np.ndarray]) -> complex:
-    n = len(mats)
+def _naive_value(stack: np.ndarray) -> complex:
+    n = stack.shape[0]
     perms, signs = _perm_table(n)
-    # columns of the inner sum: all index tuples surviving the zero skip
-    colsel = perms.T  # colsel[k, b] = b-th surviving column index for slot k
+    cols = perms.T  # cols[k, b] = column index of slot k in the b-th inner term
     inner = np.empty((n, perms.shape[0]), dtype=np.complex128)
     acc = 0.0 + 0.0j
-    for idx in itertools.product(range(1, n + 1), repeat=n):
-        lc = levi_civita(idx)
-        if lc == 0:
-            continue
+    # the n! permutations are the support of the Levi-Civita symbol
+    for idx in itertools.permutations(range(1, n + 1)):
         for k in range(n):
-            inner[k] = mats[k][idx[k] - 1, colsel[k]]
-        acc += lc * (signs @ np.prod(inner, axis=0))
+            inner[k] = stack[k, idx[k] - 1, cols[k]]
+        acc += levi_civita(idx) * (signs @ np.prod(inner, axis=0))
     return acc / math.factorial(n)
 
 
@@ -156,47 +146,16 @@ def _subset_sum_value(stack: np.ndarray) -> complex:
     return (-1) ** n * acc * float(np.prod(norms)) / math.factorial(n)
 
 
-@lru_cache(maxsize=16)
-def _partition_segments(n: int) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """Per partition vector, the (offset, length) slots of its trace template."""
-    out = []
-    for counts in enumerate_partition_vectors(n):
-        segs: list[tuple[int, int]] = []
-        pos = 0
-        for length, ct in enumerate(counts, start=1):
-            for _ in range(ct):
-                segs.append((pos, length))
-                pos += length
-        out.append((counts, segs))
-    return out
-
-
-def _canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def _trace_formula_value(mats: Sequence[np.ndarray]) -> complex:
-    n = len(mats)
-    classes = _partition_segments(n)
-    word_trace: dict[tuple[int, ...], complex] = {}
-
-    def tr(word: tuple[int, ...]) -> complex:
-        key = _canonical_rotation(word)
-        got = word_trace.get(key)
-        if got is None:
-            prod = mats[key[0]]
-            for k in key[1:]:
-                prod = prod @ mats[k]
-            got = complex(np.trace(prod))
-            word_trace[key] = got
-        return got
-
+def _trace_formula_value(stack: np.ndarray) -> complex:
+    n = stack.shape[0]
+    classes = partition_segments(n)
+    tr = word_traces(stack)
     sums = [0.0 + 0.0j] * len(classes)
     for sigma in itertools.permutations(range(n)):
         for ci, (_, segs) in enumerate(classes):
             term = 1.0 + 0.0j
             for pos, length in segs:
-                term *= tr(sigma[pos : pos + length])
+                term *= tr(canonicalize(sigma[pos : pos + length]))
             sums[ci] += term
     fact = math.factorial(n)
     total = 0.0 + 0.0j
@@ -214,88 +173,66 @@ def _volume_value(stack: np.ndarray) -> complex:
     return complex(signs @ dets) / math.factorial(n)
 
 
-def polydet_naive(mats: Sequence) -> PolydetResult:
-    """Full Levi-Civita index sums, nonzero terms only.  Guarded at n <= 6."""
-    n, mats = validate_matrix_tuple(mats)
-    _guard(n, NAIVE_MAX_N, "naive")
-    return PolydetResult(_naive_value(mats), "naive", n)
-
-
-def polydet_permutation_pair(mats: Sequence) -> PolydetResult:
-    """Signed double sum over permutation pairs.  Guarded at n <= 8."""
-    n, mats = validate_matrix_tuple(mats)
-    _guard(n, PERMUTATION_PAIR_MAX_N, "permutation_pair")
-    return PolydetResult(_permutation_pair_value(mats), "permutation_pair", n)
-
-
-def polydet_subset_sum(mats: Sequence) -> PolydetResult:
-    """Inclusion-exclusion over subset sums of the arguments.
-
-    Cost 2^N determinants, taken in stacked chunks of 2^8 with memory bounded
-    at every n, so this is the scalable route and the default.  Arguments
-    are scaled to unit size first, so widely different norms do not cost
-    accuracy.  Guarded at n <= 24.
-    """
-    n, mats = validate_matrix_tuple(mats)
-    _guard(n, SUBSET_MAX_N, "subset_sum")
-    return PolydetResult(_subset_sum_value(mats), "subset_sum", n)
-
-
-def polydet_trace_formula(mats: Sequence) -> PolydetResult:
-    """Exact-coefficient trace expansion, symmetrized over all argument
-    permutations without deduplication.  Guarded at n <= 7."""
-    n, mats = validate_matrix_tuple(mats)
-    _guard(n, TRACE_FORMULA_MAX_N, "trace_formula")
-    return PolydetResult(_trace_formula_value(mats), "trace_formula", n)
-
-
-def polydet_volume(mats: Sequence) -> PolydetResult:
-    """Signed average over row mixings of oriented-volume determinants.
-    Guarded at n <= 8."""
-    n, mats = validate_matrix_tuple(mats)
-    _guard(n, VOLUME_MAX_N, "volume")
-    return PolydetResult(_volume_value(mats), "volume", n)
-
-
-ENGINES: dict[str, Callable[[Sequence], PolydetResult]] = {
-    "naive": polydet_naive,
-    "permutation_pair": polydet_permutation_pair,
-    "subset_sum": polydet_subset_sum,
-    "trace_formula": polydet_trace_formula,
-    "volume": polydet_volume,
+#: engine name -> (kernel on a validated (N, N, N) stack, largest accepted N)
+_TABLE: dict[str, tuple[Callable[[np.ndarray], complex], int]] = {
+    "naive": (_naive_value, 6),
+    "permutation_pair": (_permutation_pair_value, 7),
+    "subset_sum": (_subset_sum_value, SUBSET_MAX_N),
+    "trace_formula": (_trace_formula_value, 7),
+    "volume": (_volume_value, 8),
 }
 
 DEFAULT_ENGINE = "subset_sum"
 
 
+def _kernel(name: str, n: int) -> Callable[[np.ndarray], complex]:
+    """The kernel of engine ``name`` for N = n arguments, past its guard."""
+    if name not in _TABLE:
+        raise ValueError(f"unknown engine {name!r}; expected one of {sorted(_TABLE)}")
+    kernel, max_n = _TABLE[name]
+    if n > max_n:
+        raise GuardLimitError(f"engine {name!r} guarded at n <= {max_n}, got n={n}")
+    return kernel
+
+
+def _engine(name: str) -> Callable[[Sequence], PolydetResult]:
+    def run(mats: Sequence) -> PolydetResult:
+        n, stack = validate_matrix_tuple(mats)
+        return PolydetResult(_kernel(name, n)(stack), name, n)
+
+    run.__name__ = run.__qualname__ = f"polydet_{name}"
+    return run
+
+
+ENGINES: dict[str, Callable[[Sequence], PolydetResult]] = {name: _engine(name) for name in _TABLE}
+
+polydet_naive = ENGINES["naive"]
+polydet_permutation_pair = ENGINES["permutation_pair"]
+polydet_subset_sum = ENGINES["subset_sum"]
+polydet_trace_formula = ENGINES["trace_formula"]
+polydet_volume = ENGINES["volume"]
+
+
 def polydet(mats: Sequence, engine: Optional[str] = None) -> PolydetResult:
     """Dispatch to a named engine (default: subset_sum)."""
     name = DEFAULT_ENGINE if engine is None else engine
-    try:
-        fn = ENGINES[name]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}; expected one of {sorted(ENGINES)}") from None
-    return fn(mats)
+    if name not in ENGINES:
+        _kernel(name, 0)  # raises the unknown-engine error
+    return ENGINES[name](mats)
 
 
 def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
 
     Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over all
-    compositions of N = matrix dimension into r non-negative parts; repeated
-    arguments are passed by plain repetition.
+    compositions of N = matrix dimension into r non-negative parts.  The r
+    summands are validated once; each repeated tuple goes to the engine's
+    kernel as a row selection of that stack.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ValueError(f"matrix {i} has shape {m.shape}, expected {(n, n)}")
+    stack = as_stack(mats, name="summands")
+    r, n = len(stack), stack.shape[-1]
+    kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
     total = 0.0 + 0.0j
-    for comp in compositions(n, len(mats)):
-        repeated: list[np.ndarray] = []
-        for m, k in zip(mats, comp):
-            repeated.extend([m] * k)
-        total += multinomial(n, comp) * polydet(repeated, engine).value
+    for comp in compositions(n, r):
+        total += multinomial(n, comp) * kernel(stack[np.repeat(np.arange(r), comp)])
     return total

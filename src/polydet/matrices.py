@@ -10,14 +10,16 @@ apart from the per-call PRNG created by :func:`random_matrix`.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "SingularMatrixError",
     "as_matrix",
+    "as_stack",
     "validate_matrix_tuple",
+    "word_traces",
     "det",
     "trace",
     "dagger",
@@ -56,22 +58,46 @@ def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     return _as_square(m, name, 2)
 
 
-def validate_matrix_tuple(mats: Iterable) -> tuple[int, np.ndarray]:
+def as_stack(mats: Sequence, *, name: str = "matrix tuple") -> np.ndarray:
+    """Coerce equal-size square matrices to one finite (N, n, n) complex128
+    stack in one conversion; such an array is returned as it is."""
+    try:
+        return _as_square(mats, name, 3)
+    except ValueError:
+        shapes = sorted({np.shape(m) for m in mats})
+        if len(shapes) > 1:
+            raise ValueError(f"{name} mixes matrix shapes {shapes}") from None
+        raise
+
+
+def validate_matrix_tuple(mats: Sequence) -> tuple[int, np.ndarray]:
     """Validate an argument tuple: n matrices, each n x n, all finite.
 
     Returns (n, stack) with the matrices coerced to complex128 and stacked
     into one (n, n, n) array; ``stack[k]`` is argument k.
     """
-    out = [as_matrix(m, name=f"matrix {i}") for i, m in enumerate(mats)]
-    if not out:
-        raise ValueError("matrix tuple is empty")
-    n = out[0].shape[0]
-    if len(out) != n:
-        raise ValueError(f"tuple of {len(out)} matrices does not match dimension {n}")
-    for i, m in enumerate(out):
-        if m.shape[0] != n:
-            raise ValueError(f"matrix {i} has dimension {m.shape[0]}, expected {n}")
-    return n, np.stack(out)
+    stack = as_stack(mats)
+    n = stack.shape[-1]
+    if len(stack) != n:
+        raise ValueError(f"tuple of {len(stack)} matrices does not match dimension {n}")
+    return n, stack
+
+
+def word_traces(mats) -> Callable[[Sequence], complex]:
+    """Memoized Tr(mats[w0] @ mats[w1] @ ...) of a word w; ``mats`` is a dict
+    or a stack.  Words are memo keys as given: pass one canonical spelling."""
+    memo: dict = {}
+
+    def tr(word) -> complex:
+        got = memo.get(word)
+        if got is None:
+            prod = mats[word[0]]
+            for letter in word[1:]:
+                prod = prod @ mats[letter]
+            got = memo[word] = complex(np.trace(prod))
+        return got
+
+    return tr
 
 
 #: (rows, permutations, signs) of the closed-form expansion for n = 1, 2, 3

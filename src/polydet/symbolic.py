@@ -19,12 +19,13 @@ import numpy as np
 
 from .combinatorics import (
     GuardLimitError,
+    canonicalize,
     cayley_hamilton_coefficient,
     compositions,
-    enumerate_partition_vectors,
     multinomial,
+    partition_segments,
 )
-from .matrices import as_matrix
+from .matrices import as_matrix, word_traces
 
 __all__ = [
     "TraceMonomial",
@@ -53,14 +54,6 @@ class TraceExpansion:
     terms: tuple[TraceMonomial, ...]
 
 
-def canonicalize(word: Sequence[str]) -> Word:
-    """Lexicographically minimal rotation of a word; idempotent."""
-    w = tuple(word)
-    if not w:
-        raise ValueError("empty trace word")
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
 def _monomial_key(words: tuple[Word, ...], n: int) -> tuple:
     """Deterministic term order: partition class first, then words."""
     counts = [0] * n
@@ -87,15 +80,7 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
 
-    classes = []
-    for counts in enumerate_partition_vectors(n):
-        segs = []
-        pos = 0
-        for length, ct in enumerate(counts, start=1):
-            for _ in range(ct):
-                segs.append((pos, length))
-                pos += length
-        classes.append((cayley_hamilton_coefficient(counts), segs))
+    classes = [(cayley_hamilton_coefficient(c), segs) for c, segs in partition_segments(n)]
 
     fact = math.factorial(n)
     acc: dict[tuple[Word, ...], Fraction] = {}
@@ -129,18 +114,7 @@ def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> co
                             f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}"
                         )
                     mats[label] = m
-    word_trace: dict[Word, complex] = {}
-
-    def tr(word: Word) -> complex:
-        got = word_trace.get(word)
-        if got is None:
-            prod = mats[word[0]]
-            for label in word[1:]:
-                prod = prod @ mats[label]
-            got = complex(np.trace(prod))
-            word_trace[word] = got
-        return got
-
+    tr = word_traces(mats)  # the expansion's words are canonical already
     total = 0.0 + 0.0j
     for term in expansion.terms:
         value = float(term.coefficient)

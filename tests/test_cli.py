@@ -67,6 +67,13 @@ def test_compute_wrong_count_exits_2(capsys, two_files):
     assert code == 2
 
 
+def test_compute_mixed_sizes_exits_2_with_message(capsys, tmp_path, two_files):
+    three = write_matrix(tmp_path / "c.json", random_matrix(3, 5))
+    assert cli.main(["compute", two_files[0], three]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("polydet: error: ") and "mixes matrix shapes" in err
+
+
 def test_compute_malformed_json_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -138,15 +145,6 @@ def test_verify_corrupted_engine_exits_1(capsys, monkeypatch):
     )
     code = cli.main(["verify", "--trials", "2", "--n", "2..3"])
     assert code == 1
-
-
-def test_verify_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("POLYDET_THREADS", "3")
-    code, out = run_cli(capsys, "verify", "--trials", "2", "--n", "2..3", "--json", "--seed", "4")
-    monkeypatch.setenv("POLYDET_THREADS", "0")
-    code2, out2 = run_cli(capsys, "verify", "--trials", "2", "--n", "2..3", "--json", "--seed", "4")
-    assert code == code2 == 0
-    assert out == out2
 
 
 def test_bench_csv_shape(capsys):

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from polydet.anomaly import assemble_field_matrix, build_generators, field_config_from_json
 import polydet.engines as engines_module
-from polydet.combinatorics import SUBSET_MAX_N, GuardLimitError, permutation_sign
+from polydet.combinatorics import (
+    SUBSET_MAX_N,
+    GuardLimitError,
+    compositions,
+    multinomial,
+    permutation_sign,
+)
 from polydet.engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -173,19 +179,22 @@ def test_engine_names_route():
         assert polydet([A2, B2], name).engine == name
 
 
-def test_naive_guard():
-    with pytest.raises(GuardLimitError):
-        polydet(rand_tuple(7, 0), "naive")
+#: the largest N each engine accepts, as documented in the README
+GUARDS = {
+    "naive": 6,
+    "permutation_pair": 7,
+    "subset_sum": SUBSET_MAX_N,
+    "trace_formula": 7,
+    "volume": 8,
+}
 
 
-def test_permutation_pair_guard():
-    with pytest.raises(GuardLimitError):
-        polydet(rand_tuple(9, 0), "permutation_pair")
-
-
-def test_trace_formula_guard():
-    with pytest.raises(GuardLimitError):
-        polydet(rand_tuple(8, 0), "trace_formula")
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_engine_guard_edge(name):
+    max_n = GUARDS[name]
+    with pytest.raises(GuardLimitError) as info:
+        polydet([np.eye(max_n + 1)] * (max_n + 1), name)
+    assert f"engine {name!r} guarded at n <= {max_n}, got n={max_n + 1}" == str(info.value)
 
 
 def test_tuple_validation():
@@ -375,6 +384,33 @@ def test_det_of_sum_fewer_summands_than_dimension():
 def test_det_of_sum_dimension_mismatch():
     with pytest.raises(ValueError):
         det_of_sum([identity(2), identity(3)])
+
+
+@pytest.mark.parametrize(
+    "summands",
+    ([], [identity(2), np.array([[np.inf, 0], [0, 1]])]),
+    ids=("empty", "non-finite"),
+)
+def test_det_of_sum_rejects_bad_summands(summands):
+    with pytest.raises(ValueError):
+        det_of_sum(summands)
+
+
+def test_det_of_sum_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine"):
+        det_of_sum([A2, B2], "cofactor")
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_det_of_sum_is_the_multinomial_sum_of_engine_values(name):
+    # the kernel on a row selection of the validated stack gives the very
+    # values of the public engine on the repeated tuple
+    mats = rand_tuple(3, 1600)
+    expected = 0.0 + 0.0j
+    for comp in compositions(3, 3):
+        repeated = [m for m, k in zip(mats, comp) for _ in range(k)]
+        expected += multinomial(3, comp) * polydet(repeated, name).value
+    assert det_of_sum(mats, name) == expected
 
 
 # --- stacked, norm-scaled subset-sum kernel -------------------------------------

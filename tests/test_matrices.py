@@ -125,6 +125,23 @@ def test_validate_matrix_tuple():
         validate_matrix_tuple([identity(2), identity(2), identity(3)])
 
 
+def test_validate_matrix_tuple_takes_a_stack_as_it_is():
+    stack = np.stack([random_matrix(3, k) for k in range(3)])
+    n, got = validate_matrix_tuple(stack)
+    assert n == 3 and got is stack
+
+
+def test_validate_matrix_tuple_names_what_is_wrong():
+    with pytest.raises(ValueError, match=r"got shape \(0,\)"):
+        validate_matrix_tuple([])
+    with pytest.raises(ValueError, match=r"mixes matrix shapes \[\(2, 2\), \(3, 3\)\]"):
+        validate_matrix_tuple([identity(2), identity(3)])
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_matrix_tuple([identity(2), np.array([[np.nan, 0], [0, 1]])])
+    with pytest.raises(ValueError, match="square"):
+        validate_matrix_tuple([np.zeros((2, 3))] * 2)
+
+
 def test_random_unitary_is_unitary():
     u = random_matrix(2, 42, "unitary")
     assert np.max(np.abs(u @ u.conj().T - identity(2))) < 1e-12
