@@ -9,8 +9,10 @@ arguments coincide.  The engines compute it by genuinely different routes:
                       (1/N!) sum_{i,i'} eps(i) eps(i') prod_k A_k[i_k, i'_k]
     permutation_pair  double sum over permutation pairs (sigma, mu):
                       (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)]
-    subset_sum        inclusion-exclusion over non-empty subsets I:
-                      (1/N!) sum_I (-1)^(N-|I|) det(sum_{i in I} A_i),
+    subset_sum        inclusion-exclusion over +-1 sign vectors delta
+                      with delta_1 = +1 fixed (the pair delta, -delta gives
+                      equal terms), 2^(N-1) determinants:
+                      1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k),
                       on arguments scaled to unit max-abs entry, with the
                       determinants taken 2^8 at a time by one stacked ``det``
     trace_formula     sum over partition classes of exact coefficients times
@@ -64,7 +66,7 @@ __all__ = [
 
 # elements per temporary block in the vectorized permutation-pair product
 _CHUNK_ELEMENTS = 1 << 22
-# subset_sum: arguments in the subset-sum table, so one chunk is 2^8 matrices
+# subset_sum: free signs in the sign-combination table, so one chunk is 2^8 matrices
 _SUBSET_LOW_BITS = 8
 
 
@@ -113,37 +115,47 @@ def _permutation_pair_value(mats: Sequence[np.ndarray]) -> complex:
 
 
 def _subset_sum_value(stack: np.ndarray) -> complex:
-    """(1/N!) sum_I (-1)^(N-|I|) det(sum_{i in I} A_i) over a validated stack.
+    """Inclusion-exclusion over the +-1 sign vectors with the first sign fixed.
 
-    Each argument is first divided by its max-abs entry and the product of
-    those norms multiplied back in (the value is multilinear), so arguments
-    of very different size cancel as accurately as unit-scale ones.  The
-    first k = min(N, 8) arguments give a table of 2^k subset sums, built by
-    doubling with one broadcast add per argument.  Each subset of the other
-    N - k adds its sum to the whole table, and that chunk's 2^k determinants
-    come from one stacked ``det`` call.  The empty subset is the zero matrix,
-    whose determinant is exactly 0.  Memory is a few 2^k-row arrays at every
-    n, never one row per subset.
+    With U_k = A_k / max|A_k| and T = sum_k U_k, over a validated stack,
+
+        eps = prod_k max|A_k| / (2^(N-1) N!)
+              * sum_{I subset of {2..N}} (-1)^|I| det(T - 2 sum_{i in I} U_i).
+
+    Summing prod(delta) det(sum_k delta_k U_k) over every delta in {+-1}^N
+    keeps only the part linear in each U_k, which is 2^N N! eps(U).  delta
+    and -delta give the same term, since both factors change by (-1)^N, so
+    delta_1 = +1 is fixed and 2^(N-1) determinants remain.  Dividing each
+    argument by its max-abs entry first (the value is multilinear) lets
+    arguments of very different size cancel as accurately as unit-scale
+    ones; an all-zero argument gives exactly 0.  The first k = min(N - 1, 8)
+    free arguments give a table of 2^k sign combinations, built from T by
+    doubling with one broadcast subtract of 2 U_i per argument.  Each subset
+    of the other N - 1 - k subtracts twice its sum from the whole table, and
+    that chunk's 2^k determinants come from one stacked ``det`` call.
+    Memory is a few 2^k-row arrays at every n, never one row per sign vector.
     """
     n = stack.shape[0]
     norms = np.abs(stack).max(axis=(1, 2))
     if not norms.all():
         return 0j
     unit = stack / norms[:, None, None]
-    k = min(n, _SUBSET_LOW_BITS)
-    # low[s] sums the arguments whose bits are set in s, and signs[s] = (-1)^|s|
-    low = np.zeros((1 << k, n, n), dtype=np.complex128)
+    twice = 2.0 * unit[1:]
+    k = min(n - 1, _SUBSET_LOW_BITS)
+    # low[s] = T - 2 (sum of the free arguments whose bits are set in s), signs[s] = (-1)^|s|
+    low = np.empty((1 << k, n, n), dtype=np.complex128)
+    unit.sum(axis=0, out=low[0])
     signs = np.ones(1 << k)
     for i in range(k):
-        np.add(low[: 1 << i], unit[i], out=low[1 << i : 2 << i])
+        np.subtract(low[: 1 << i], twice[i], out=low[1 << i : 2 << i])
         signs[1 << i : 2 << i] = -signs[: 1 << i]
-    high = unit[k:]
+    high = twice[k:]
     acc = 0.0 + 0.0j
-    for mask in range(1 << (n - k)):
-        picked = [j for j in range(n - k) if mask >> j & 1]
-        chunk = low + high[picked].sum(axis=0) if picked else low
+    for mask in range(1 << (n - 1 - k)):
+        picked = [j for j in range(n - 1 - k) if mask >> j & 1]
+        chunk = low - high[picked].sum(axis=0) if picked else low
         acc += (-1) ** len(picked) * complex((signs * det(chunk)).sum())
-    return (-1) ** n * acc * float(np.prod(norms)) / math.factorial(n)
+    return acc * float(np.prod(norms)) / (2 ** (n - 1) * math.factorial(n))
 
 
 def _trace_formula_value(stack: np.ndarray) -> complex:

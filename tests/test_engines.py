@@ -436,6 +436,23 @@ def test_subset_sum_matches_explicit_subset_loop(n, low_bits, monkeypatch):
         assert_close(polydet_subset_sum(mats).value, subset_loop_reference(mats))
 
 
+@pytest.mark.parametrize("low_bits", (1, 3, 8))
+def test_subset_sum_takes_half_the_determinants(low_bits, monkeypatch):
+    # one determinant per sign vector with the first sign fixed: 2^(N-1) per call
+    monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
+    taken = []
+
+    def counting_det(stack):
+        taken.append(len(stack))
+        return det(stack)
+
+    monkeypatch.setattr(engines_module, "det", counting_det)
+    for n in range(1, 11):
+        taken.clear()
+        polydet(rand_tuple(n, 3050 + n))
+        assert sum(taken) == 2 ** (n - 1)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_subset_sum_zero_argument_gives_exact_zero(n):
     mats = rand_tuple(n, 3100 + n)
@@ -482,7 +499,7 @@ def test_subset_sum_exact_on_scaled_commuting_tuples(n):
         exact = complex(float(re * weight), float(im * weight))
         assert exact != 0
         got = polydet_subset_sum(mats).value
-        assert abs(got - exact) <= 1e-9 * abs(exact)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 def exact_eps3(mats):
