@@ -91,18 +91,19 @@ def run_bench(
 ) -> list[tuple[str, int, float, float]]:
     """Wall-clock rows (engine, n, mean_ns, stddev_ns) on seeded inputs.
 
-    One warm-up evaluation per cell is discarded before timing.  A cell whose
-    engine is guarded out at that n has no row; any other error propagates.
+    One warm-up evaluation per cell, through the ``polydet`` dispatcher, is
+    discarded before timing.  A cell whose engine is guarded out at that n
+    has no row; any other error, an unknown engine name included, propagates.
     """
     rows = []
     for name in engine_names:
-        fn = _engines.ENGINES[name]
         for n in n_values:
             mats = [random_matrix(n, seed + k, "general") for k in range(n)]
             try:
-                fn(mats)  # warm-up, also trips the guard early
+                _engines.polydet(mats, name)  # warm-up, also trips the guard early
             except GuardLimitError:
                 continue
+            fn = _engines.ENGINES[name]
             samples = []
             for _ in range(repetitions):
                 start = time.perf_counter_ns()
@@ -116,9 +117,6 @@ def run_bench(
 
 def _cmd_bench(args) -> int:
     engine_names = args.engine.split(",") if args.engine else sorted(_engines.ENGINES)
-    for name in engine_names:
-        if name not in _engines.ENGINES:
-            raise ValueError(f"unknown engine {name!r}")
     rows = run_bench(_parse_n_range(args.n), engine_names, repetitions=args.trials, seed=args.seed)
     lines = ["engine,n,mean_ns,stddev_ns"]
     lines += [f"{name},{n},{mean:.0f},{std:.0f}" for name, n, mean, std in rows]

@@ -1,8 +1,10 @@
-"""Permutation, subset, partition and cyclic trace-word machinery shared by
-the engines and the symbolic layer.
+"""Permutation, cycle-cover, subset, partition and cyclic trace-word
+machinery shared by the engines and the symbolic layer.
 
-Index conventions follow the tensor notation: permutation images and
-Levi-Civita arguments are one-based.  Partition vectors (n1, ..., nN) count
+One cycle walk gives both permutation signs and the cycle covers behind the
+trace expansion.  Index conventions follow the tensor notation: permutation
+images and Levi-Civita arguments are one-based; cycle covers, which index
+matrix stacks, are zero-based.  Partition vectors (n1, ..., nN) count
 trace factors of each word length and satisfy n1 + 2*n2 + ... + N*nN = N.
 All coefficients are exact ``fractions.Fraction`` values.
 """
@@ -20,9 +22,9 @@ __all__ = [
     "Permutation",
     "iterate_permutations",
     "permutation_sign",
+    "cycle_covers",
     "levi_civita",
     "enumerate_partition_vectors",
-    "partition_segments",
     "canonicalize",
     "cayley_hamilton_coefficient",
     "multinomial",
@@ -44,23 +46,45 @@ class Permutation(NamedTuple):
     sign: int
 
 
-def permutation_sign(seq: Sequence[int]) -> int:
-    """Parity of a sequence of distinct comparables, by cycle decomposition."""
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    seen = [False] * len(seq)
+def _cycle_walk(images: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Sign and cycles of the permutation i -> images[i] of range(n).
+
+    Each cycle starts at its smallest index, which is its lexicographically
+    minimal rotation, and the cycles come in order of those indices.
+    """
+    seen = [False] * len(images)
     sign = 1
-    for start in range(len(seq)):
+    cycles = []
+    for start in range(len(images)):
         if seen[start]:
             continue
-        length = 0
+        cycle = []
         j = start
         while not seen[j]:
             seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
+            cycle.append(j)
+            j = images[j]
+        if len(cycle) % 2 == 0:
             sign = -sign
-    return sign
+        cycles.append(tuple(cycle))
+    return sign, tuple(cycles)
+
+
+def permutation_sign(seq: Sequence[int]) -> int:
+    """Parity of a sequence of distinct comparables, by cycle decomposition."""
+    return _cycle_walk(sorted(range(len(seq)), key=lambda i: seq[i]))[0]
+
+
+@lru_cache(maxsize=16)
+def cycle_covers(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(sign, cycles) of every permutation of range(n), in lexicographic order.
+
+    The cycles of a permutation cover range(n); each starts at its smallest
+    index, so an index cycle is already the canonical spelling of its word.
+    """
+    if n > PERMUTATION_MAX_N:
+        raise GuardLimitError(f"permutation stream guarded at n <= {PERMUTATION_MAX_N}, got {n}")
+    return tuple(_cycle_walk(p) for p in itertools.permutations(range(n)))
 
 
 def iterate_permutations(n: int) -> Iterator[Permutation]:
@@ -116,25 +140,6 @@ def enumerate_partition_vectors(n: int) -> list[tuple[int, ...]]:
     fill(n, 1, [])
     found.sort(key=lambda c: (-sum(c), tuple(-x for x in c)))
     return found
-
-
-@lru_cache(maxsize=16)
-def partition_segments(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    """Trace template of every partition class of n, in partition-vector order.
-
-    Each entry is (counts, segments): the (offset, length) slots that cut a
-    word of n letters into the class's trace factors, shortest first.
-    """
-    out = []
-    for counts in enumerate_partition_vectors(n):
-        segs: list[tuple[int, int]] = []
-        pos = 0
-        for length, ct in enumerate(counts, start=1):
-            for _ in range(ct):
-                segs.append((pos, length))
-                pos += length
-        out.append((counts, tuple(segs)))
-    return tuple(out)
 
 
 def canonicalize(word: Sequence) -> tuple:

@@ -1,8 +1,8 @@
-"""Five independent evaluators of the mixed discriminant of a matrix tuple.
+"""Five evaluators of the mixed discriminant of a matrix tuple.
 
 For an argument tuple (A_1, ..., A_N) of N complex N x N matrices the value
 is the symmetric N-linear function that collapses to det(A) when all
-arguments coincide.  The engines compute it by genuinely different routes:
+arguments coincide.  The engines compute it by these routes:
 
     naive             index sums against the antisymmetric symbol, over
                       the N! index tuples where it is non-zero:
@@ -15,16 +15,20 @@ arguments coincide.  The engines compute it by genuinely different routes:
                       1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k),
                       on arguments scaled to unit max-abs entry, with the
                       determinants taken 2^8 at a time by one stacked ``det``
-    trace_formula     sum over partition classes of exact coefficients times
-                      symmetrized trace-monomial averages
+    trace_formula     the cycle form of the determinant, polarized, with one
+                      trace per distinct index cycle:
+                      (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
+                      Tr(A_{i_1} ... A_{i_L})
     volume            signed average of N! row-mixed oriented volumes:
                       (1/N!) sum_sigma sgn(sigma) det(slot i holds row sigma(i) of A_i)
 
-Agreement of all five on random tuples is the package's core cross-check.
-One table maps each engine name to its kernel and its guard (the largest N
-it accepts).  A public call validates its tuple once, into an (N, N, N)
-stack, and the kernel works on that trusted stack; ``det_of_sum``
-validates its summands once and calls the kernel for every composition.
+``naive`` and ``permutation_pair`` evaluate the same double sum, vectorized
+differently.  Agreement of all five on random tuples is the package's core
+cross-check.  One table maps each engine name to its kernel and its guard
+(the largest N it accepts).  A public call validates its tuple once, into
+an (N, N, N) stack, and the kernel works on that trusted stack;
+``det_of_sum`` validates its summands once and calls the kernel for every
+composition.
 """
 
 from __future__ import annotations
@@ -40,13 +44,11 @@ import numpy as np
 from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
-    canonicalize,
-    cayley_hamilton_coefficient,
     compositions,
+    cycle_covers,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     levi_civita,
     multinomial,
-    partition_segments,
     permutation_sign,
 )
 from .matrices import as_stack, det, validate_matrix_tuple, word_traces
@@ -160,20 +162,9 @@ def _subset_sum_value(stack: np.ndarray) -> complex:
 
 def _trace_formula_value(stack: np.ndarray) -> complex:
     n = stack.shape[0]
-    classes = partition_segments(n)
     tr = word_traces(stack)
-    sums = [0.0 + 0.0j] * len(classes)
-    for sigma in itertools.permutations(range(n)):
-        for ci, (_, segs) in enumerate(classes):
-            term = 1.0 + 0.0j
-            for pos, length in segs:
-                term *= tr(canonicalize(sigma[pos : pos + length]))
-            sums[ci] += term
-    fact = math.factorial(n)
-    total = 0.0 + 0.0j
-    for ci, (counts, _) in enumerate(classes):
-        total += float(cayley_hamilton_coefficient(counts)) * sums[ci] / fact
-    return total
+    total = sum(math.prod(map(tr, cycles), start=sign) for sign, cycles in cycle_covers(n))
+    return total / math.factorial(n)
 
 
 def _volume_value(stack: np.ndarray) -> complex:

@@ -8,7 +8,6 @@ rationals; floats only appear in :func:`evaluate`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,10 +19,9 @@ import numpy as np
 from .combinatorics import (
     GuardLimitError,
     canonicalize,
-    cayley_hamilton_coefficient,
     compositions,
+    cycle_covers,
     multinomial,
-    partition_segments,
 )
 from .matrices import as_matrix, word_traces
 
@@ -66,13 +64,23 @@ def _sorted_words(words: Sequence[Word]) -> tuple[Word, ...]:
     return tuple(sorted(words, key=lambda w: (len(w), w)))
 
 
+def _merged(n: int, acc: Mapping[tuple[Word, ...], Fraction]) -> TraceExpansion:
+    """The non-zero terms of a words -> coefficient map, in term order."""
+    terms = tuple(
+        TraceMonomial(coef, words)
+        for words, coef in sorted(acc.items(), key=lambda kv: _monomial_key(kv[0], n))
+        if coef != 0
+    )
+    return TraceExpansion(n, terms)
+
+
 def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     """Exact trace expansion of the mixed discriminant of n labelled slots.
 
-    Iterates the trace-monomial template of every partition class over all
-    n! label permutations, canonicalizes, and merges; the resulting
-    coefficient of each monomial is the class coefficient times its
-    multiplicity over n!.
+    The cycle form of the determinant, polarized:
+    n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
+    Tr(A_{i_1} ... A_{i_L}).  Each permutation's cycles are spelled in the
+    slots' labels, canonicalized, and its monomial gains sgn(sigma) / n!.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -80,23 +88,12 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
 
-    classes = [(cayley_hamilton_coefficient(c), segs) for c, segs in partition_segments(n)]
-
     fact = math.factorial(n)
     acc: dict[tuple[Word, ...], Fraction] = {}
-    for perm in itertools.permutations(labels):
-        for coef, segs in classes:
-            words = _sorted_words(
-                [canonicalize(perm[pos : pos + length]) for pos, length in segs]
-            )
-            acc[words] = acc.get(words, Fraction(0)) + Fraction(coef, fact)
-
-    terms = tuple(
-        TraceMonomial(coef, words)
-        for words, coef in sorted(acc.items(), key=lambda kv: _monomial_key(kv[0], n))
-        if coef != 0
-    )
-    return TraceExpansion(n, terms)
+    for sign, cycles in cycle_covers(n):
+        words = _sorted_words([canonicalize(tuple(labels[i] for i in c)) for c in cycles])
+        acc[words] = acc.get(words, Fraction(0)) + Fraction(sign, fact)
+    return _merged(n, acc)
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
@@ -209,9 +206,4 @@ def parse_expansion(text) -> TraceExpansion:
         coef = Fraction(int(num), int(den))
         words = _sorted_words([canonicalize(tuple(w)) for w in entry["words"]])
         acc[words] = acc.get(words, Fraction(0)) + coef
-    terms = tuple(
-        TraceMonomial(coef, words)
-        for words, coef in sorted(acc.items(), key=lambda kv: _monomial_key(kv[0], n))
-        if coef != 0
-    )
-    return TraceExpansion(n, terms)
+    return _merged(n, acc)

@@ -165,6 +165,12 @@ def test_bench_csv_shape(capsys):
 
 def test_bench_unknown_engine_exits_2(capsys):
     assert cli.main(["bench", "--engine", "quantum"]) == 2
+    assert "expected one of" in capsys.readouterr().err
+
+
+def test_run_bench_unknown_engine_raises_the_dispatch_error():
+    with pytest.raises(ValueError, match="unknown engine 'quantum'; expected one of"):
+        cli.run_bench([2], ["quantum"])
 
 
 def test_bench_guarded_cell_is_skipped(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from polydet.combinatorics import (
     cayley_hamilton_coefficient,
     compositions,
     count_distinct_terms,
+    cycle_covers,
     enumerate_partition_vectors,
     iterate_permutations,
     iterate_subsets,
@@ -191,6 +193,26 @@ def test_count_distinct_terms_always_integer(n):
         value = math.factorial(n) * abs(cayley_hamilton_coefficient(counts))
         assert value.denominator == 1
         assert count_distinct_terms(counts) == value
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycle_covers_give_the_class_coefficients(n):
+    """Grouped by cycle type, sgn(sigma) / n! sums to each class coefficient."""
+    coefficient = defaultdict(Fraction)
+    size = Counter()
+    for sign, cycles in cycle_covers(n):
+        assert sorted(i for c in cycles for i in c) == list(range(n))
+        assert all(c[0] == min(c) for c in cycles)
+        counts = [0] * n
+        for c in cycles:
+            counts[len(c) - 1] += 1
+        counts = tuple(counts)
+        coefficient[counts] += Fraction(sign, math.factorial(n))
+        size[counts] += 1
+    assert sorted(coefficient) == sorted(enumerate_partition_vectors(n))
+    for counts in coefficient:
+        assert coefficient[counts] == cayley_hamilton_coefficient(counts)
+        assert size[counts] == count_distinct_terms(counts)
 
 
 def test_subsets_n2():

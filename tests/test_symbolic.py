@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -219,6 +220,21 @@ def test_render_json_roundtrip_byte_identical():
         again = render(parse_expansion(blob), "json")
         assert blob == again
         assert parse_expansion(blob) == e
+
+
+@pytest.mark.parametrize(
+    "labels, terms, digest",
+    [
+        ("ABCDEF", 720, "057eb3c4f31966dcd882fbfc8532ebc4be608cf2404dcd2e055c6963f5110f8c"),
+        ("AAABBC", 84, "173cafda636d102d1259fbb858318ad90da3a266684962177af170d53e20e875"),
+        ("ABABAB", 38, "9903a73d9d007cf27abcec399b07d5a544825c195d15e030dab986b4e61b526d"),
+    ],
+)
+def test_expand_n6_json_is_pinned(labels, terms, digest):
+    """The full n = 6 json output, byte for byte, as the partition-class expansion gave it."""
+    e = expand_polydet(6, labels)
+    assert len(e.terms) == terms
+    assert hashlib.sha256(render(e, "json").encode()).hexdigest() == digest
 
 
 def test_render_unknown_format():
