@@ -21,6 +21,7 @@ from .engines import (
     PolydetResult,
     det_of_sum,
     polydet,
+    polydet_many,
     polydet_naive,
     polydet_permutation_pair,
     polydet_subset_sum,
@@ -66,6 +67,7 @@ __all__ = [
     "PolydetResult",
     "det_of_sum",
     "polydet",
+    "polydet_many",
     "polydet_naive",
     "polydet_permutation_pair",
     "polydet_subset_sum",

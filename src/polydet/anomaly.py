@@ -5,6 +5,13 @@ its vertex expansion, and the Lorentz-contracted mixed discriminant.
 Conventions: N_f x N_f Hermitian generators t^0..t^(N^2-1) normalized to
 Tr(t^a t^b) = delta^{ab}/2 with t^0 = 1/sqrt(2 N_f); field matrices
 A_k = (1/sqrt(2)) sum_a (s_k^a + i p_k^a) t^a; metric signature (+,-,-,-).
+
+A step that needs many values of eps -- the 3-flavor eps table (165
+tuples), the field-expansion fit (one tuple per sample), the Lorentz
+contraction (16) and an invariance ratio (2) -- validates its tuples once
+and takes them from one ``polydet_many`` batch.  Lorentz-indexed families
+are stacked into one array and transformed or metric-converted by one
+``einsum``.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engines import polydet
-from .matrices import as_matrix, det, identity
+from .engines import polydet, polydet_many
+from .matrices import as_matrix, det, identity, validate_matrix_tuple
 
 __all__ = [
     "GeneratorBasis",
@@ -137,13 +144,19 @@ def _require_unitary(u: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not unitary (max deviation {dev:.3e})")
 
 
-def chiral_transform(a, u_left, u_right) -> np.ndarray:
-    """A -> U_L A U_R^dagger with unitarity enforced on both factors."""
-    a = as_matrix(a)
+def _unitaries(u_left, u_right) -> tuple[np.ndarray, np.ndarray]:
+    """Both chiral factors coerced to matrices, each checked to be unitary."""
     u_left = as_matrix(u_left, name="u_left")
     u_right = as_matrix(u_right, name="u_right")
     _require_unitary(u_left, "u_left")
     _require_unitary(u_right, "u_right")
+    return u_left, u_right
+
+
+def chiral_transform(a, u_left, u_right) -> np.ndarray:
+    """A -> U_L A U_R^dagger with unitarity enforced on both factors."""
+    a = as_matrix(a)
+    u_left, u_right = _unitaries(u_left, u_right)
     return u_left @ a @ u_right.conj().T
 
 
@@ -165,16 +178,16 @@ def check_invariance(mats: Sequence, u_left, u_right, engine: Optional[str] = No
 
     For special-unitary factors the ratio must be 1; in general it equals
     det(U_L) * conj(det(U_R)).  Raises when the base value is too small for
-    the ratio to mean anything.
+    the ratio to mean anything.  The tuple and both factors are validated
+    once, the whole tuple is transformed by one broadcast product, and both
+    values come from one two-row batch.
     """
-    base = polydet(mats, engine).value
-    transformed = [chiral_transform(m, u_left, u_right) for m in mats]
-    moved = polydet(transformed, engine).value
+    _, stack = validate_matrix_tuple(mats)
+    u_left, u_right = _unitaries(u_left, u_right)
+    base, moved = polydet_many([stack, u_left @ stack @ u_right.conj().T], engine).tolist()
     if abs(base) < 1e-12:
         raise ValueError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
     ratio = moved / base
-    u_left = as_matrix(u_left)
-    u_right = as_matrix(u_right)
     special = abs(det(u_left) - 1) < 1e-9 and abs(det(u_right) - 1) < 1e-9
     return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))
 
@@ -254,16 +267,24 @@ FIELD_EXPANSION_TERMS: tuple[tuple[tuple[int, int, int], float], ...] = tuple(
 )
 
 
+#: FIELD_EXPANSION_TERMS as index arrays: the slots (a, b, c) of every term, and its coefficient
+_TERM_SLOTS = np.array([slots for slots, _ in FIELD_EXPANSION_TERMS]).T
+_TERM_COEFS = np.array([coef for _, coef in FIELD_EXPANSION_TERMS])
+
+
+def _field_polynomial(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """The cubic polynomial over the last axis of (..., 9) component arrays."""
+    a, b, c = _TERM_SLOTS
+    return (_TERM_COEFS * phi1[..., a] * phi1[..., b] * phi2[..., c]).sum(axis=-1)
+
+
 def evaluate_field_polynomial(phi1: Sequence[complex], phi2: Sequence[complex]) -> complex:
     """The hard-coded cubic polynomial in the complex fields phi_k^a."""
     phi1 = np.asarray(phi1, dtype=np.complex128)
     phi2 = np.asarray(phi2, dtype=np.complex128)
     if phi1.shape != (9,) or phi2.shape != (9,):
         raise ValueError("need 9 complex components per multiplet")
-    total = 0.0 + 0.0j
-    for (a, b, c), coef in FIELD_EXPANSION_TERMS:
-        total += coef * phi1[a] * phi1[b] * phi2[c]
-    return total
+    return complex(_field_polynomial(phi1, phi2))
 
 
 class FieldExpansionReport(NamedTuple):
@@ -277,21 +298,20 @@ def verify_field_expansion(seed: int, samples: int = 200) -> FieldExpansionRepor
 
     P is the hard-coded cubic polynomial; eps is the engine value on the
     assembled matrices.  Returns the least-squares kappa and the largest
-    |P - kappa*eps| relative to max|P|.
+    |P - kappa*eps| relative to max|P|.  Each sample draws s1, p1, s2, p2
+    in that order; all samples are assembled by one ``einsum`` and their
+    eps(A1, A1, A2) come from one batch.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    basis = build_generators(3)
-    rng = np.random.default_rng(seed)
-    ps, es = [], []
-    for _ in range(samples):
-        s1, p1, s2, p2 = (rng.uniform(-1.0, 1.0, 9) for _ in range(4))
-        a1 = assemble_field_matrix(basis, s1, p1)
-        a2 = assemble_field_matrix(basis, s2, p2)
-        ps.append(evaluate_field_polynomial(s1 + 1j * p1, s2 + 1j * p2))
-        es.append(polydet([a1, a1, a2]).value)
-    p_arr = np.array(ps)
-    e_arr = np.array(es)
+    gens = np.array(build_generators(3).generators)
+    comps = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 4, 9))
+    phi = comps[:, 0::2] + 1j * comps[:, 1::2]  # (samples, multiplet, a)
+    fields = np.einsum("ska,aij->skij", phi, gens) / math.sqrt(2.0)
+    # 64 samples at a time keep the polynomial's (samples, terms) temporaries at
+    # 53 KB; all 200 at once made 166 KB ones, which raised the peak RSS
+    p_arr = np.concatenate([_field_polynomial(f[:, 0], f[:, 1]) for f in np.split(phi, range(64, samples, 64))])
+    e_arr = polydet_many(fields[:, [0, 0, 1]])
     denom = float(np.sum(np.abs(e_arr) ** 2))
     scale = float(np.max(np.abs(p_arr)))
     if denom < 1e-24 or scale == 0.0:
@@ -326,24 +346,26 @@ class LorentzIndexedFamily:
         return self.components[4 * mu + nu]
 
 
+def _stacked(fam: LorentzIndexedFamily) -> np.ndarray:
+    """The components as one array with a length-4 axis per Lorentz index."""
+    comps = np.array(fam.components)
+    return comps.reshape((4,) * fam.rank + comps.shape[1:])
+
+
+def _family(rank: int, comps: np.ndarray, variance: Sequence[str]) -> LorentzIndexedFamily:
+    return LorentzIndexedFamily(rank, tuple(comps.reshape((4**rank,) + comps.shape[rank:])), tuple(variance))
+
+
+#: einsum subscripts contracting (metric or transformation, components) on one index
+_ON_INDEX = {(1, 0): "ma,a...->m...", (2, 0): "ma,ab...->mb...", (2, 1): "mb,ab...->am..."}
+
+
 def _flip_variance(fam: LorentzIndexedFamily, index: int) -> LorentzIndexedFamily:
     """Raise or lower one index with the (+,-,-,-) metric (its own inverse)."""
-    comps = list(fam.components)
-    new = []
-    if fam.rank == 1:
-        for mu in range(4):
-            new.append(sum(METRIC[mu, nu] * comps[nu] for nu in range(4)))
-    elif index == 0:
-        for mu in range(4):
-            for nu in range(4):
-                new.append(sum(METRIC[mu, rho] * comps[4 * rho + nu] for rho in range(4)))
-    else:
-        for mu in range(4):
-            for nu in range(4):
-                new.append(sum(METRIC[nu, rho] * comps[4 * mu + rho] for rho in range(4)))
+    new = np.einsum(_ON_INDEX[fam.rank, index], METRIC, _stacked(fam))
     variance = list(fam.variance)
     variance[index] = "upper" if variance[index] == "lower" else "lower"
-    return LorentzIndexedFamily(fam.rank, tuple(new), tuple(variance))
+    return _family(fam.rank, new, variance)
 
 
 def with_variance(fam: LorentzIndexedFamily, variance: Sequence[str]) -> LorentzIndexedFamily:
@@ -369,13 +391,10 @@ def lorentz_contracted_polydet(vector: LorentzIndexedFamily, tensor: LorentzInde
         raise ValueError(f"need a rank-1 and a rank-2 family, got {vector.rank} and {tensor.rank}")
     if vector.components[0].shape != (3, 3):
         raise ValueError("components must be 3x3 matrices")
-    v = with_variance(vector, ("lower",))
-    t = with_variance(tensor, ("upper", "upper"))
-    total = 0.0 + 0.0j
-    for mu in range(4):
-        for nu in range(4):
-            total += polydet([v.component(mu), v.component(nu), t.component(mu, nu)]).value
-    return total
+    v = _stacked(with_variance(vector, ("lower",)))
+    t = _stacked(with_variance(tensor, ("upper", "upper")))
+    mu, nu = np.divmod(np.arange(16), 4)
+    return complex(polydet_many(np.stack([v[mu], v[nu], t[mu, nu]], axis=1)).sum())
 
 
 def boost_matrix(rapidity: float, axis: int = 1) -> np.ndarray:
@@ -394,21 +413,8 @@ def transform_family(fam: LorentzIndexedFamily, lam: np.ndarray) -> LorentzIndex
     lam = np.asarray(lam, dtype=float)
     lowered = METRIC @ lam @ METRIC
     mats = [lam if v == "upper" else lowered for v in fam.variance]
-    new = []
-    if fam.rank == 1:
-        for mu in range(4):
-            new.append(sum(mats[0][mu, al] * fam.components[al] for al in range(4)))
-    else:
-        for mu in range(4):
-            for nu in range(4):
-                acc = np.zeros_like(fam.components[0])
-                for al in range(4):
-                    for be in range(4):
-                        w = mats[0][mu, al] * mats[1][nu, be]
-                        if w != 0.0:
-                            acc = acc + w * fam.components[4 * al + be]
-                new.append(acc)
-    return LorentzIndexedFamily(fam.rank, tuple(new), fam.variance)
+    subscripts = "ma,a...->m..." if fam.rank == 1 else "ma,nb,ab...->mn..."
+    return _family(fam.rank, np.einsum(subscripts, *mats, _stacked(fam)), fam.variance)
 
 
 # --- vertex enumeration -----------------------------------------------------
@@ -417,14 +423,13 @@ def transform_family(fam: LorentzIndexedFamily, lam: np.ndarray) -> LorentzIndex
 @lru_cache(maxsize=1)
 def _eps3_table() -> np.ndarray:
     """eps(t^a, t^b, t^c) over the 3-flavor basis, all 9^3 combinations."""
-    ts = build_generators(3).generators
+    ts = np.array(build_generators(3).generators)
+    # eps is symmetric in its arguments, so the 165 tuples with a <= b <= c give the table
+    abc = np.array(list(itertools.combinations_with_replacement(range(9), 3)))
+    values = polydet_many(ts[abc])
     table = np.zeros((9, 9, 9), dtype=np.complex128)
-    for a in range(9):
-        for b in range(a, 9):
-            for c in range(9):
-                v = polydet([ts[a], ts[b], ts[c]]).value
-                table[a, b, c] = v
-                table[b, a, c] = v
+    for order in itertools.permutations(range(3)):
+        table[tuple(abc[:, order].T)] = values
     return table
 
 

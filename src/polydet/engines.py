@@ -25,10 +25,13 @@ arguments coincide.  The engines compute it by these routes:
 ``naive`` and ``permutation_pair`` evaluate the same double sum, vectorized
 differently.  Agreement of all five on random tuples is the package's core
 cross-check.  One table maps each engine name to its kernel and its guard
-(the largest N it accepts).  A public call validates its tuple once, into
-an (N, N, N) stack, and the kernel works on that trusted stack;
-``det_of_sum`` validates its summands once and calls the kernel for every
-composition.
+(the largest N it accepts).  A kernel takes a validated (B, N, N, N) batch
+of tuples and returns their B values: ``subset_sum`` evaluates the whole
+batch in stacked ``det`` calls of at most 2^8 matrices, the other four run
+their one-tuple kernel on each row.  ``polydet`` validates one tuple and
+runs it as a batch of one; ``polydet_many`` validates a whole batch once;
+``det_of_sum`` validates its summands once and evaluates the repeated
+tuples of its compositions in batches of at most 2^8 matrices.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .matrices import as_stack, det, validate_matrix_tuple, word_traces
 __all__ = [
     "PolydetResult",
     "polydet",
+    "polydet_many",
     "polydet_naive",
     "polydet_permutation_pair",
     "polydet_subset_sum",
@@ -116,10 +120,11 @@ def _permutation_pair_value(mats: Sequence[np.ndarray]) -> complex:
     return acc / math.factorial(n)
 
 
-def _subset_sum_value(stack: np.ndarray) -> complex:
+def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
     """Inclusion-exclusion over the +-1 sign vectors with the first sign fixed.
 
-    With U_k = A_k / max|A_k| and T = sum_k U_k, over a validated stack,
+    With U_k = A_k / max|A_k| and T = sum_k U_k, for each tuple of a
+    validated (B, N, N, N) batch,
 
         eps = prod_k max|A_k| / (2^(N-1) N!)
               * sum_{I subset of {2..N}} (-1)^|I| det(T - 2 sum_{i in I} U_i).
@@ -130,34 +135,49 @@ def _subset_sum_value(stack: np.ndarray) -> complex:
     delta_1 = +1 is fixed and 2^(N-1) determinants remain.  Dividing each
     argument by its max-abs entry first (the value is multilinear) lets
     arguments of very different size cancel as accurately as unit-scale
-    ones; an all-zero argument gives exactly 0.  The first k = min(N - 1, 8)
-    free arguments give a table of 2^k sign combinations, built from T by
-    doubling with one broadcast subtract of 2 U_i per argument.  Each subset
-    of the other N - 1 - k subtracts twice its sum from the whole table, and
-    that chunk's 2^k determinants come from one stacked ``det`` call.
-    Memory is a few 2^k-row arrays at every n, never one row per sign vector.
+    ones; an all-zero argument keeps norm 0 in the product, so its tuple
+    gives exactly 0.  The first k = min(N - 1, 8) free arguments give a
+    table of 2^k sign combinations, built from T by doubling with one
+    broadcast subtract of 2 U_i per argument.  Each subset of the other
+    N - 1 - k subtracts twice its sum from the whole table.  The batch is
+    cut into slices of 2^(8 - k) tuples, so every stacked ``det`` call takes
+    at most 2^8 matrices and memory is a few 2^8-matrix arrays at every n
+    and B.  Every operation acts on each tuple alone, so a tuple's value
+    does not depend on the rest of its batch.
     """
-    n = stack.shape[0]
-    norms = np.abs(stack).max(axis=(1, 2))
-    if not norms.all():
-        return 0j
-    unit = stack / norms[:, None, None]
-    twice = 2.0 * unit[1:]
+    b, n = batch.shape[:2]
     k = min(n - 1, _SUBSET_LOW_BITS)
-    # low[s] = T - 2 (sum of the free arguments whose bits are set in s), signs[s] = (-1)^|s|
-    low = np.empty((1 << k, n, n), dtype=np.complex128)
-    unit.sum(axis=0, out=low[0])
+    # signs[s] = (-1)^|s| for the table row whose free arguments are the bits of s
     signs = np.ones(1 << k)
     for i in range(k):
-        np.subtract(low[: 1 << i], twice[i], out=low[1 << i : 2 << i])
         signs[1 << i : 2 << i] = -signs[: 1 << i]
-    high = twice[k:]
-    acc = 0.0 + 0.0j
-    for mask in range(1 << (n - 1 - k)):
-        picked = [j for j in range(n - 1 - k) if mask >> j & 1]
-        chunk = low - high[picked].sum(axis=0) if picked else low
-        acc += (-1) ** len(picked) * complex((signs * det(chunk)).sum())
-    return acc * float(np.prod(norms)) / (2 ** (n - 1) * math.factorial(n))
+    per_slice = (1 << _SUBSET_LOW_BITS) >> k
+    out = np.empty(b, dtype=np.complex128)
+    for start in range(0, b, per_slice):
+        part = batch[start : start + per_slice]
+        rows = len(part)
+        norms = np.abs(part).max(axis=(2, 3))
+        # an all-zero argument is divided by 1 and keeps its norm 0 in the product
+        unit = part / (norms if norms.all() else np.where(norms == 0.0, 1.0, norms))[:, :, None, None]
+        twice = 2.0 * unit[:, 1:]
+        # low[:, s] = T - 2 (sum of the free arguments whose bits are set in s)
+        low = np.empty((rows, 1 << k, n, n), dtype=np.complex128)
+        unit.sum(axis=1, out=low[:, 0])
+        for i in range(k):
+            np.subtract(low[:, : 1 << i], twice[:, i, None], out=low[:, 1 << i : 2 << i])
+        high = twice[:, k:]
+        acc = 0.0
+        for mask in range(1 << (n - 1 - k)):
+            picked = [j for j in range(n - 1 - k) if mask >> j & 1]
+            chunk = low - high[:, picked].sum(axis=1)[:, None] if picked else low
+            term = (signs * det(chunk.reshape(-1, n, n)).reshape(rows, 1 << k)).sum(axis=1)
+            acc = acc - term if len(picked) % 2 else acc + term
+        out[start : start + rows] = acc * norms.prod(axis=1)
+    # a true division of every real and imaginary part; a complex division by a
+    # real number would multiply by its reciprocal, one more rounding
+    parts = out.view(np.float64)
+    parts /= 2 ** (n - 1) * math.factorial(n)
+    return out
 
 
 def _trace_formula_value(stack: np.ndarray) -> complex:
@@ -176,20 +196,25 @@ def _volume_value(stack: np.ndarray) -> complex:
     return complex(signs @ dets) / math.factorial(n)
 
 
-#: engine name -> (kernel on a validated (N, N, N) stack, largest accepted N)
-_TABLE: dict[str, tuple[Callable[[np.ndarray], complex], int]] = {
-    "naive": (_naive_value, 6),
-    "permutation_pair": (_permutation_pair_value, 7),
-    "subset_sum": (_subset_sum_value, SUBSET_MAX_N),
-    "trace_formula": (_trace_formula_value, 7),
-    "volume": (_volume_value, 8),
+def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch kernel that runs a one-tuple kernel on each row of a batch."""
+    return lambda batch: np.array([kernel(stack) for stack in batch], dtype=np.complex128)
+
+
+#: engine name -> (kernel from a validated (B, N, N, N) batch to B values, largest accepted N)
+_TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
+    "naive": (_rows(_naive_value), 6),
+    "permutation_pair": (_rows(_permutation_pair_value), 7),
+    "subset_sum": (_subset_sum_values, SUBSET_MAX_N),
+    "trace_formula": (_rows(_trace_formula_value), 7),
+    "volume": (_rows(_volume_value), 8),
 }
 
 DEFAULT_ENGINE = "subset_sum"
 
 
-def _kernel(name: str, n: int) -> Callable[[np.ndarray], complex]:
-    """The kernel of engine ``name`` for N = n arguments, past its guard."""
+def _kernel(name: str, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch kernel of engine ``name`` for N = n arguments, past its guard."""
     if name not in _TABLE:
         raise ValueError(f"unknown engine {name!r}; expected one of {sorted(_TABLE)}")
     kernel, max_n = _TABLE[name]
@@ -201,7 +226,7 @@ def _kernel(name: str, n: int) -> Callable[[np.ndarray], complex]:
 def _engine(name: str) -> Callable[[Sequence], PolydetResult]:
     def run(mats: Sequence) -> PolydetResult:
         n, stack = validate_matrix_tuple(mats)
-        return PolydetResult(_kernel(name, n)(stack), name, n)
+        return PolydetResult(complex(_kernel(name, n)(stack[None])[0]), name, n)
 
     run.__name__ = run.__qualname__ = f"polydet_{name}"
     return run
@@ -224,18 +249,39 @@ def polydet(mats: Sequence, engine: Optional[str] = None) -> PolydetResult:
     return ENGINES[name](mats)
 
 
+def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
+    """The value of each argument tuple of a batch, as a (B,) complex array.
+
+    ``tuples`` is B tuples of N matrices, each N x N, or one (B, N, N, N)
+    array.  The batch is validated once; the default engine evaluates it in
+    stacked ``det`` calls of at most 2^8 matrices, the others tuple by tuple.
+    Row b equals ``polydet(tuples[b], engine).value`` exactly.
+    """
+    name = DEFAULT_ENGINE if engine is None else engine
+    if len(tuples) == 0:
+        _kernel(name, 0)  # an unknown name still raises
+        return np.empty(0, dtype=np.complex128)
+    n, batch = validate_matrix_tuple(tuples, batched=True)
+    return _kernel(name, n)(batch)
+
+
 def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
 
     Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over all
     compositions of N = matrix dimension into r non-negative parts.  The r
-    summands are validated once; each repeated tuple goes to the engine's
-    kernel as a row selection of that stack.
+    summands are validated once; the repeated tuples of the compositions
+    are row selections of that stack and go to the engine's kernel in
+    batches of at most 2^8 matrices, so memory stays that of the kernel's
+    own slices however many compositions there are.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
+    comps = compositions(n, r)
     total = 0.0 + 0.0j
-    for comp in compositions(n, r):
-        total += multinomial(n, comp) * kernel(stack[np.repeat(np.arange(r), comp)])
+    while group := list(itertools.islice(comps, max(1, (1 << _SUBSET_LOW_BITS) // n))):
+        values = kernel(stack[np.array([np.repeat(np.arange(r), comp) for comp in group])])
+        for comp, value in zip(group, values.tolist()):
+            total += multinomial(n, comp) * value
     return total

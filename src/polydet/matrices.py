@@ -46,7 +46,7 @@ class SingularMatrixError(ValueError):
 def _as_square(m, name: str, ndim: int) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        what = "square" if ndim == 2 else "a stack of square matrices"
+        what = ("square", "a stack of square matrices", "a batch of stacks of square matrices")[ndim - 2]
         raise ValueError(f"{name} must be {what} with n >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -70,16 +70,17 @@ def as_stack(mats: Sequence, *, name: str = "matrix tuple") -> np.ndarray:
         raise
 
 
-def validate_matrix_tuple(mats: Sequence) -> tuple[int, np.ndarray]:
+def validate_matrix_tuple(mats: Sequence, *, batched: bool = False) -> tuple[int, np.ndarray]:
     """Validate an argument tuple: n matrices, each n x n, all finite.
 
     Returns (n, stack) with the matrices coerced to complex128 and stacked
-    into one (n, n, n) array; ``stack[k]`` is argument k.
+    into one (n, n, n) array; ``stack[k]`` is argument k.  With ``batched``,
+    ``mats`` is a batch of B such tuples and the stack is (B, n, n, n).
     """
-    stack = as_stack(mats)
+    stack = _as_square(mats, "matrix tuple", 4) if batched else as_stack(mats)
     n = stack.shape[-1]
-    if len(stack) != n:
-        raise ValueError(f"tuple of {len(stack)} matrices does not match dimension {n}")
+    if stack.shape[-3] != n:
+        raise ValueError(f"tuple of {stack.shape[-3]} matrices does not match dimension {n}")
     return n, stack
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polydet.anomaly as anomaly_module
 from polydet.anomaly import (
+    METRIC,
     Couplings,
     FieldConfiguration,
     LorentzIndexedFamily,
@@ -28,7 +30,7 @@ from polydet.anomaly import (
     verify_field_expansion,
     with_variance,
 )
-from polydet.engines import polydet_subset_sum
+from polydet.engines import polydet, polydet_subset_sum
 from polydet.matrices import identity, random_matrix
 
 SQRT6 = math.sqrt(6.0)
@@ -190,6 +192,15 @@ def test_check_invariance_vector_phase_is_trivial():
     assert abs(report.ratio - 1) < 1e-9
 
 
+def test_check_invariance_checks_each_unitary_once(monkeypatch):
+    checked = []
+    require = anomaly_module._require_unitary
+    monkeypatch.setattr(anomaly_module, "_require_unitary", lambda u, name: checked.append(name) or require(u, name))
+    mats = [random_matrix(3, 55), random_matrix(3, 56), random_matrix(3, 57)]
+    check_invariance(mats, random_matrix(3, 58, "unitary"), random_matrix(3, 59, "unitary"))
+    assert checked == ["u_left", "u_right"]
+
+
 def test_check_invariance_general_unitary_dets():
     mats = [random_matrix(3, 50), random_matrix(3, 51), random_matrix(3, 52)]
     u_l = random_matrix(3, 53, "unitary")
@@ -290,6 +301,24 @@ def test_field_expansion_proportional_to_engine():
     assert abs(report.kappa - 96 * math.sqrt(2)) <= 1e-9 * abs(report.kappa)
 
 
+def test_field_expansion_matches_the_sample_by_sample_fit():
+    # the stacked fit draws the same stream and fits the same kappa as a loop
+    # that assembles and evaluates one sample at a time
+    basis = build_generators(3)
+    rng = np.random.default_rng(5)
+    ps, es = [], []
+    for _ in range(50):
+        s1, p1, s2, p2 = (rng.uniform(-1.0, 1.0, 9) for _ in range(4))
+        a1 = assemble_field_matrix(basis, s1, p1)
+        a2 = assemble_field_matrix(basis, s2, p2)
+        ps.append(evaluate_field_polynomial(s1 + 1j * p1, s2 + 1j * p2))
+        es.append(polydet([a1, a1, a2]).value)
+    ps, es = np.array(ps), np.array(es)
+    kappa = np.sum(np.conj(es) * ps) / np.sum(np.abs(es) ** 2)
+    report = verify_field_expansion(seed=5, samples=50)
+    assert abs(report.kappa - kappa) <= 1e-13 * abs(kappa)
+
+
 def test_field_polynomial_singlet_restriction():
     phi1 = np.zeros(9, dtype=complex)
     phi2 = np.zeros(9, dtype=complex)
@@ -373,6 +402,54 @@ def test_contraction_converts_variance():
     assert abs(lorentz_contracted_polydet(v_up, t_down) - base) < 1e-9 * max(1.0, abs(base))
 
 
+def loop_transform(fam, lam):
+    """Lorentz transformation written out index by index."""
+    lowered = METRIC @ lam @ METRIC
+    mats = [lam if v == "upper" else lowered for v in fam.variance]
+    if fam.rank == 1:
+        return [sum(mats[0][mu, al] * fam.components[al] for al in range(4)) for mu in range(4)]
+    return [
+        sum(mats[0][mu, al] * mats[1][nu, be] * fam.components[4 * al + be] for al in range(4) for be in range(4))
+        for mu in range(4)
+        for nu in range(4)
+    ]
+
+
+def loop_flip(fam, index):
+    """One index raised or lowered, written out index by index."""
+    c = fam.components
+    if fam.rank == 1:
+        return [sum(METRIC[mu, rho] * c[rho] for rho in range(4)) for mu in range(4)]
+    if index == 0:
+        return [sum(METRIC[mu, rho] * c[4 * rho + nu] for rho in range(4)) for mu in range(4) for nu in range(4)]
+    return [sum(METRIC[nu, rho] * c[4 * mu + rho] for rho in range(4)) for mu in range(4) for nu in range(4)]
+
+
+def assert_components_close(got, want):
+    got, want = np.array(got), np.array(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_transform_and_variance_flip_match_index_loops():
+    rng = np.random.default_rng(76)
+    for variance in (("lower",), ("upper",)):
+        v = rank1_family(rng, variance)
+        lam = boost_matrix(0.8, 2)
+        assert_components_close(transform_family(v, lam).components, loop_transform(v, lam))
+        assert_components_close(anomaly_module._flip_variance(v, 0).components, loop_flip(v, 0))
+    for variance in (("upper", "upper"), ("upper", "lower"), ("lower", "upper")):
+        t = rank2_family(rng, variance)
+        lam = boost_matrix(-1.3, 3) @ boost_matrix(0.4, 1)
+        moved = transform_family(t, lam)
+        assert moved.variance == variance
+        assert_components_close(moved.components, loop_transform(t, lam))
+        for index in (0, 1):
+            flipped = anomaly_module._flip_variance(t, index)
+            assert flipped.variance[index] != variance[index]
+            assert_components_close(flipped.components, loop_flip(t, index))
+
+
 def test_contraction_rank_mismatch():
     rng = np.random.default_rng(74)
     with pytest.raises(ValueError):
@@ -423,6 +500,17 @@ def test_vertices_of_bundled_couplings_count():
     path = Path(__file__).resolve().parent.parent / "configs" / "couplings.json"
     couplings = couplings_from_json(json.loads(path.read_text()))
     assert len(enumerate_vertices(couplings)) == 987
+
+
+def test_eps3_table_has_exact_zeros_and_no_noise():
+    # the 3-flavor table splits into 646 exact zeros and 83 real entries; a
+    # kernel that brings back rounding noise at the zeros fails here
+    anomaly_module._eps3_table.cache_clear()
+    table = anomaly_module._eps3_table()
+    assert table.shape == (9, 9, 9)
+    assert np.count_nonzero(table == 0) == 646
+    assert np.count_nonzero(table) == 83
+    assert np.min(np.abs(table[table != 0])) > 1e-3
 
 
 def test_vertices_empty_for_zero_couplings():

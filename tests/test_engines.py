@@ -24,6 +24,7 @@ from polydet.engines import (
     ENGINES,
     det_of_sum,
     polydet,
+    polydet_many,
     polydet_naive,
     polydet_permutation_pair,
     polydet_subset_sum,
@@ -557,3 +558,122 @@ def test_subset_sum_guard():
     n = SUBSET_MAX_N + 1
     with pytest.raises(GuardLimitError):
         polydet([np.eye(n)] * n)
+
+
+# --- batched entry point ----------------------------------------------------------
+
+
+def rand_batch(b, n, seed, spread=False):
+    """b random n-tuples; with ``spread`` the argument norms span twelve decades."""
+    rng = np.random.default_rng([3500, b, n, seed])
+    batch = rng.uniform(-1, 1, (b, n, n, n)) + 1j * rng.uniform(-1, 1, (b, n, n, n))
+    if spread:
+        batch *= 10.0 ** rng.uniform(-6.0, 6.0, (b, n, 1, 1))
+    return batch
+
+
+@pytest.mark.parametrize("low_bits", (1, 3, 8))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_polydet_many_rows_equal_single_calls(n, low_bits, monkeypatch):
+    # a narrow table cuts the batch into many slices; no row may notice
+    monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
+    for spread in (False, True):
+        batch = rand_batch(11, n, low_bits, spread)
+        got = polydet_many(batch)
+        assert got.shape == (11,) and got.dtype == np.complex128
+        assert all(got[b] == polydet(list(batch[b])).value for b in range(11))
+
+
+@pytest.mark.parametrize("n", (1, 3, 5, 9))
+def test_polydet_many_zero_argument_row_is_exact_zero(n):
+    batch = rand_batch(5, n, 0)
+    clean = polydet_many(batch)
+    batch[2, n // 2] = 0.0
+    got = polydet_many(batch)
+    assert got[2] == 0
+    assert np.array_equal(np.delete(got, 2), np.delete(clean, 2))
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def test_polydet_many_errors_match_polydet():
+    bad_count = [identity(3), identity(3)]
+    assert raised(polydet_many, [bad_count]) == raised(polydet, bad_count)
+    nan = [identity(2), np.array([[np.nan, 0], [0, 1]])]
+    assert raised(polydet_many, [nan, [identity(2)] * 2]) == raised(polydet, nan)
+    good = [identity(2)] * 2
+    assert raised(polydet_many, [good], "cofactor") == raised(polydet, good, "cofactor")
+    big = [np.eye(SUBSET_MAX_N + 1)] * (SUBSET_MAX_N + 1)
+    assert raised(polydet_many, [big]) == raised(polydet, big)
+    assert raised(polydet_many, [big])[0] is GuardLimitError
+    # a shape that is not a batch of square stacks names the shape it got
+    for shape in ((1, 2, 2, 3), (2, 2, 2)):
+        kind, message = raised(polydet_many, np.zeros(shape))
+        assert kind is ValueError and str(shape) in message
+
+
+def test_polydet_many_empty_batch():
+    for empty in ([], np.zeros((0, 3, 3, 3))):
+        got = polydet_many(empty)
+        assert got.shape == (0,) and got.dtype == np.complex128
+    with pytest.raises(ValueError, match="unknown engine"):
+        polydet_many([], "cofactor")
+
+
+@pytest.mark.parametrize("name", [e for e in ENGINES if e != DEFAULT_ENGINE])
+def test_polydet_many_other_engines_equal_single_calls(name):
+    for n in (2, 4):
+        batch = rand_batch(3, n, 1)
+        got = polydet_many(batch, name)
+        assert all(got[b] == polydet(list(batch[b]), name).value for b in range(3))
+
+
+@pytest.mark.parametrize("low_bits", (1, 3, 8))
+def test_polydet_many_det_calls_stay_in_slices(low_bits, monkeypatch):
+    # B 2^(N-1) determinants in all, no stacked call above 2^low_bits matrices
+    monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
+    taken = []
+
+    def counting_det(stack):
+        taken.append(len(stack))
+        return det(stack)
+
+    monkeypatch.setattr(engines_module, "det", counting_det)
+    for n in range(1, 11):
+        for b in (1, 7, 40):
+            taken.clear()
+            polydet_many(rand_batch(b, n, 2))
+            assert sum(taken) == b * 2 ** (n - 1)
+            assert max(taken) <= 2**low_bits
+
+
+def test_det_of_sum_batches_the_compositions(monkeypatch):
+    # every composition's 2^(N-1) determinants, in stacked calls of at most 2^8
+    taken = []
+
+    def counting_det(stack):
+        taken.append(len(stack))
+        return det(stack)
+
+    monkeypatch.setattr(engines_module, "det", counting_det)
+    mats = rand_tuple(5, 3600)
+    det_of_sum(mats)
+    assert sum(taken) == math.comb(5 + 5 - 1, 5 - 1) * 2**4
+    assert max(taken) <= 256 and len(taken) <= 12
+
+
+def test_det_of_sum_memory_is_bounded():
+    # the kernel's slices take a few 2^8-matrix arrays (0.7 MB at n = 6); all 462
+    # repeated tuples of six 6 x 6 summands in one batch would add 1.6 MB
+    mats = rand_tuple(6, 3700)
+    tracemalloc.start()
+    try:
+        det_of_sum(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
