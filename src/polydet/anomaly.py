@@ -42,6 +42,7 @@ __all__ = [
     "axial_phase_law",
     "check_invariance",
     "InvarianceReport",
+    "IndeterminateRatioError",
     "lagrangian_value",
     "evaluate_field_polynomial",
     "verify_field_expansion",
@@ -173,20 +174,27 @@ class InvarianceReport(NamedTuple):
     su_invariant: bool
 
 
+class IndeterminateRatioError(ValueError):
+    """Raised when an invariance ratio's base value is too small, for the
+    scale of its arguments, for the ratio to mean anything."""
+
+
 def check_invariance(mats: Sequence, u_left, u_right, engine: Optional[str] = None) -> InvarianceReport:
     """Ratio of the mixed discriminant after/before A_k -> U_L A_k U_R^dagger.
 
     For special-unitary factors the ratio must be 1; in general it equals
-    det(U_L) * conj(det(U_R)).  Raises when the base value is too small for
-    the ratio to mean anything.  The tuple and both factors are validated
-    once, the whole tuple is transformed by one broadcast product, and both
-    values come from one two-row batch.
+    det(U_L) * conj(det(U_R)).  Raises IndeterminateRatioError when
+    |base| <= 1e-12 * m^N, with m the largest entry modulus of the N
+    arguments: the value is N-linear, so the floor scales with the tuple
+    and an all-zero tuple always raises.  The tuple and both factors are
+    validated once, the whole tuple is transformed by one broadcast
+    product, and both values come from one two-row batch.
     """
-    _, stack = validate_matrix_tuple(mats)
+    n, stack = validate_matrix_tuple(mats)
     u_left, u_right = _unitaries(u_left, u_right)
     base, moved = polydet_many([stack, u_left @ stack @ u_right.conj().T], engine).tolist()
-    if abs(base) < 1e-12:
-        raise ValueError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
+    if abs(base) <= 1e-12 * float(np.abs(stack).max()) ** n:
+        raise IndeterminateRatioError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
     ratio = moved / base
     special = abs(det(u_left) - 1) < 1e-9 and abs(det(u_right) - 1) < 1e-9
     return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))

@@ -151,8 +151,8 @@ def _anomaly_report(cfg, couplings, seed: int, trials: int) -> dict:
             ratio = _anomaly.check_invariance(mats, u_l, u_r).ratio
             predicted = _anomaly.axial_phase_law(n, theta, n)
             phase_dev = max(phase_dev, abs(ratio - predicted))
-    except ValueError:
-        # zero (or numerically tiny) base value: ratios carry no information
+    except _anomaly.IndeterminateRatioError:
+        # zero (or, for the arguments' scale, tiny) base value: ratios carry no information
         su_dev = phase_dev = None
 
     report = {

@@ -15,10 +15,13 @@ arguments coincide.  The engines compute it by these routes:
                       1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k),
                       on arguments scaled to unit max-abs entry, with the
                       determinants taken 2^8 at a time by one stacked ``det``
-    trace_formula     the cycle form of the determinant, polarized, with one
-                      trace per distinct index cycle:
+    trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
-                      Tr(A_{i_1} ... A_{i_L})
+                      Tr(A_{i_1} ... A_{i_L}),
+                      compiled once per N into a trace-sum plan: the
+                      cycle prefixes of each length in one stacked matmul,
+                      the traces of the cycles of each length in one
+                      einsum, and the N! signed products in one gather
     volume            signed average of N! row-mixed oriented volumes:
                       (1/N!) sum_sigma sgn(sigma) det(slot i holds row sigma(i) of A_i)
 
@@ -54,7 +57,7 @@ from .combinatorics import (
     multinomial,
     permutation_sign,
 )
-from .matrices import as_stack, det, validate_matrix_tuple, word_traces
+from .matrices import as_stack, det, trace_sum_plan, validate_matrix_tuple
 
 __all__ = [
     "PolydetResult",
@@ -180,11 +183,15 @@ def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _cycle_plan(n: int) -> Callable[[np.ndarray], complex]:
+    """sum_sigma sgn(sigma) prod_{cycles c of sigma} Tr(c), compiled once per n."""
+    return trace_sum_plan((float(sign), cycles) for sign, cycles in cycle_covers(n))
+
+
 def _trace_formula_value(stack: np.ndarray) -> complex:
     n = stack.shape[0]
-    tr = word_traces(stack)
-    total = sum(math.prod(map(tr, cycles), start=sign) for sign, cycles in cycle_covers(n))
-    return total / math.factorial(n)
+    return _cycle_plan(n)(stack) / math.factorial(n)
 
 
 def _volume_value(stack: np.ndarray) -> complex:

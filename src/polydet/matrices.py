@@ -3,14 +3,18 @@
 Matrices are plain ``numpy.ndarray`` values of dtype complex128 with shape
 (n, n).  :func:`det` also takes a (B, n, n) stack and returns B values in
 one call, which is how the subset-sum engine evaluates its determinants
-chunk by chunk.  All functions are pure; nothing here holds global state
-apart from the per-call PRNG created by :func:`random_matrix`.
+chunk by chunk.  :func:`trace_sum_plan` compiles a weighted sum of products
+of word traces once, to be evaluated on any stack in stacked products; the
+trace-formula engine and the symbolic layer share it.  All functions are
+pure; nothing here holds global state apart from the per-call PRNG created
+by :func:`random_matrix`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Sequence
+from collections import defaultdict
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +23,7 @@ __all__ = [
     "as_matrix",
     "as_stack",
     "validate_matrix_tuple",
-    "word_traces",
+    "trace_sum_plan",
     "det",
     "trace",
     "dagger",
@@ -84,21 +88,58 @@ def validate_matrix_tuple(mats: Sequence, *, batched: bool = False) -> tuple[int
     return n, stack
 
 
-def word_traces(mats) -> Callable[[Sequence], complex]:
-    """Memoized Tr(mats[w0] @ mats[w1] @ ...) of a word w; ``mats`` is a dict
-    or a stack.  Words are memo keys as given: pass one canonical spelling."""
-    memo: dict = {}
+def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> Callable[[np.ndarray], complex]:
+    """Compile sum_t w_t prod_{words w of t} Tr(stack[w_0] @ stack[w_1] @ ...).
 
-    def tr(word) -> complex:
-        got = memo.get(word)
-        if got is None:
-            prod = mats[word[0]]
-            for letter in word[1:]:
-                prod = prod @ mats[letter]
-            got = memo[word] = complex(np.trace(prod))
-        return got
+    ``terms`` are (weight, words) pairs whose words are non-empty tuples of
+    indices into a stack; pass one spelling per cyclic word, since words
+    are numbered as given.  The returned function takes an (N, n, n) stack.
+    It multiplies the needed prefixes of each length in one stacked
+    ``matmul`` from those one letter shorter, takes the traces of the words
+    of each length by one ``einsum`` of prefix and last letter, and sums the
+    terms by one gather into the trace vector, whose trailing 1.0 pads the
+    terms with fewer words.
+    """
+    ids: dict[tuple, int] = {}  # word -> its entry in the trace vector
+    weights, counts, entries = [], [], []
+    for weight, words in terms:
+        weights.append(weight)
+        counts.append(len(words))
+        entries.extend(ids.setdefault(w, len(ids)) for w in words)
+    weights = np.array(weights, dtype=np.float64)
+    counts = np.array(counts, dtype=np.intp)
+    pad = len(ids)
+    index = np.full((len(counts), counts.max(initial=0)), pad, dtype=np.intp)
+    index[np.arange(index.shape[1]) < counts[:, None]] = entries  # row by row, as listed
 
-    return tr
+    rows: dict[tuple, int] = {}  # prefix of length >= 2 -> its row among the prefixes of its length
+    steps = defaultdict(list)  # length -> (parent row, last letter) of each prefix of that length
+    by_length = defaultdict(list)  # length -> (trace entry, prefix row, last letter) of each word
+    for w, entry in ids.items():
+        parent = w[0]  # the row of w[:k - 1]; a one-letter prefix is its letter's row in the stack
+        for k in range(2, len(w)):
+            got = rows.get(w[:k])
+            if got is None:
+                got = rows[w[:k]] = len(steps[k])
+                steps[k].append((parent, w[k - 1]))
+            parent = got
+        by_length[len(w)].append((entry, parent, w[-1]))
+    words = [(length, *np.array(by_length[length], dtype=np.intp).T) for length in sorted(by_length)]
+    levels = [np.array(steps[k], dtype=np.intp).T for k in range(2, max(by_length, default=0))]
+
+    def value(stack: np.ndarray) -> complex:
+        prods = [None, stack]  # prods[k][r] = product of the length-k prefix in row r
+        for parent, last in levels:
+            prods.append(prods[-1][parent] @ stack[last])
+        tr = np.ones(pad + 1, dtype=np.complex128)
+        for length, entry, parent, last in words:
+            if length == 1:
+                tr[entry] = np.einsum("bii->b", stack[last])
+            else:
+                tr[entry] = np.einsum("bij,bji->b", prods[length - 1][parent], stack[last])
+        return complex(weights @ tr[index].prod(axis=1))
+
+    return value
 
 
 #: (rows, permutations, signs) of the closed-form expansion for n = 1, 2, 3

@@ -3,7 +3,10 @@
 Words are tuples of matrix labels read cyclically, so Tr(ABC) and Tr(BCA)
 are the same word; the canonical spelling is the lexicographically minimal
 rotation.  Tr(ABC) and Tr(ACB) stay distinct.  Coefficients are exact
-rationals; floats only appear in :func:`evaluate`.
+rationals; floats only appear in :func:`evaluate`, which compiles an
+expansion's terms once into the trace-sum plan the trace-formula engine
+also uses, keeps it on the expansion, and evaluates each binding in stacked
+products.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .combinatorics import (
     cycle_covers,
     multinomial,
 )
-from .matrices import as_matrix, word_traces
+from .matrices import as_matrix, trace_sum_plan
 
 __all__ = [
     "TraceMonomial",
@@ -50,6 +54,20 @@ class TraceMonomial(NamedTuple):
 class TraceExpansion:
     n: int
     terms: tuple[TraceMonomial, ...]
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex]]:
+        """The labels in order of first appearance, and the trace-sum plan of
+        the terms over the stack of their matrices in that order."""
+        slots: dict[str, int] = {}
+        words = dict.fromkeys(w for t in self.terms for w in t.words)
+        spelled = {w: tuple(slots.setdefault(label, len(slots)) for label in w) for w in words}
+        plan = trace_sum_plan((float(t.coefficient), [spelled[w] for w in t.words]) for t in self.terms)
+        return tuple(slots), plan
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields alone: the plan is a cache, rebuilt on demand."""
+        return {name: value for name, value in self.__dict__.items() if name != "_plan"}
 
 
 def _monomial_key(words: tuple[Word, ...], n: int) -> tuple:
@@ -80,7 +98,8 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     The cycle form of the determinant, polarized:
     n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
     Tr(A_{i_1} ... A_{i_L}).  Each permutation's cycles are spelled in the
-    slots' labels, canonicalized, and its monomial gains sgn(sigma) / n!.
+    slots' labels, canonicalized, and its monomial gains sgn(sigma); each
+    monomial's signed count becomes one coefficient count / n!.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -88,38 +107,30 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
 
-    fact = math.factorial(n)
-    acc: dict[tuple[Word, ...], Fraction] = {}
+    counts: dict[tuple[Word, ...], int] = {}
     for sign, cycles in cycle_covers(n):
         words = _sorted_words([canonicalize(tuple(labels[i] for i in c)) for c in cycles])
-        acc[words] = acc.get(words, Fraction(0)) + Fraction(sign, fact)
-    return _merged(n, acc)
+        counts[words] = counts.get(words, 0) + sign
+    fact = math.factorial(n)
+    return _merged(n, {words: Fraction(count, fact) for words, count in counts.items()})
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
-    """Numeric value of an expansion under a label -> matrix binding."""
-    mats = {}
-    for term in expansion.terms:
-        for word in term.words:
-            for label in word:
-                if label not in mats:
-                    if label not in binding:
-                        raise KeyError(f"unbound label {label!r}")
-                    m = as_matrix(binding[label], name=f"binding[{label}]")
-                    if m.shape[0] != expansion.n:
-                        raise ValueError(
-                            f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}"
-                        )
-                    mats[label] = m
-    tr = word_traces(mats)  # the expansion's words are canonical already
-    total = 0.0 + 0.0j
-    for term in expansion.terms:
-        value = float(term.coefficient)
-        prod = 1.0 + 0.0j
-        for word in term.words:
-            prod *= tr(word)
-        total += value * prod
-    return total
+    """Numeric value of an expansion under a label -> matrix binding.
+
+    The expansion's trace-sum plan is compiled on its first evaluation and
+    kept on it; labels it does not use are ignored.
+    """
+    labels, plan = expansion._plan
+    mats = []
+    for label in labels:
+        if label not in binding:
+            raise KeyError(f"unbound label {label!r}")
+        m = as_matrix(binding[label], name=f"binding[{label}]")
+        if m.shape[0] != expansion.n:
+            raise ValueError(f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}")
+        mats.append(m)
+    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n))
 
 
 def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:

@@ -11,6 +11,7 @@ from polydet.anomaly import (
     METRIC,
     Couplings,
     FieldConfiguration,
+    IndeterminateRatioError,
     LorentzIndexedFamily,
     Multiplet,
     assemble_field_matrix,
@@ -212,8 +213,24 @@ def test_check_invariance_general_unitary_dets():
 
 def test_check_invariance_indeterminate():
     zeros = [np.zeros((3, 3))] * 3
-    with pytest.raises(ValueError):
+    with pytest.raises(IndeterminateRatioError):
         check_invariance(zeros, identity(3), identity(3))
+
+
+def test_check_invariance_floor_scales_with_the_arguments():
+    mats = [1e-5 * random_matrix(3, k) for k in (1, 2, 3)]
+    u_l = random_matrix(3, 4, "special-unitary")
+    u_r = random_matrix(3, 5, "special-unitary")
+    report = check_invariance(mats, u_l, u_r)
+    assert abs(report.ratio - 1) < 1e-9
+    assert report.su_invariant
+
+
+def test_check_invariance_other_errors_are_not_indeterminate():
+    mats = [random_matrix(3, k) for k in (1, 2, 3)]
+    with pytest.raises(ValueError, match="u_left must be square") as info:
+        check_invariance(mats, np.ones((3, 2)), identity(3))
+    assert not isinstance(info.value, IndeterminateRatioError)
 
 
 # --- Lagrangian ---------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_anomaly_zero_fields(capsys, tmp_path):
     assert payload["lagrangian"]["value"] == 0
 
 
+def test_anomaly_reports_only_indeterminate_ratios_as_such(capsys, monkeypatch):
+    fields = str(REPO_ROOT / "configs" / "fields_n3.json")
+    couplings = str(REPO_ROOT / "configs" / "couplings.json")
+    monkeypatch.setattr(cli, "random_matrix", lambda n, seed, kind: np.ones((n, n - 1)))
+    assert cli.main(["anomaly", fields, couplings, "--json", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "u_left must be square" in captured.err
+
+
 def test_anomaly_two_flavors(capsys):
     fields = str(REPO_ROOT / "configs" / "fields_n2.json")
     couplings = str(REPO_ROOT / "configs" / "couplings.json")

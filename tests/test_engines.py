@@ -120,6 +120,13 @@ def test_trace_formula_matches_subset_n3():
         )
 
 
+@pytest.mark.parametrize("n", (1, 7))
+def test_trace_formula_matches_subset_sum_at_the_ends(n):
+    for seed in range(3):
+        mats = rand_tuple(n, 7100 + 10 * seed)
+        assert_close(polydet_trace_formula(mats).value, polydet_subset_sum(mats).value, rel=1e-12)
+
+
 def test_trace_formula_collapse_n5():
     a = random_matrix(5, 17)
     assert_close(polydet_trace_formula([a] * 5).value, det(a))

@@ -15,6 +15,7 @@ from polydet.matrices import (
     matrix_to_json,
     random_matrix,
     trace,
+    trace_sum_plan,
     validate_matrix_tuple,
 )
 
@@ -193,3 +194,30 @@ def test_load_matrix_file(tmp_path):
     path.write_text(json.dumps({"n": 2, "re": [[1, 2], [3, 4]], "im": [[0, 1], [0, 0]]}))
     m = load_matrix_file(path)
     assert m[0, 1] == 2 + 1j
+
+
+def test_trace_sum_plan_matches_explicit_products():
+    stack = np.array([random_matrix(4, 60 + k) for k in range(3)])
+    terms = [
+        (0.5, [(0,), (1, 2)]),
+        (-2.0, [(2, 0, 1, 1, 0)]),
+        (1.25, []),
+        (3.0, [(1,), (1,), (0, 2, 2), (1, 2)]),
+        (-0.75, [(2, 0, 1, 1, 2), (0, 1)]),
+    ]
+    expected = 0.0
+    for weight, words in terms:
+        prod = weight
+        for word in words:
+            m = np.eye(4)
+            for letter in word:
+                m = m @ stack[letter]
+            prod *= np.trace(m)
+        expected += prod
+    value = trace_sum_plan(terms)(stack)
+    assert isinstance(value, complex)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_trace_sum_plan_of_no_terms_is_zero():
+    assert trace_sum_plan([])(np.empty((0, 2, 2), dtype=complex)) == 0j

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,70 @@ def test_evaluate_dimension_mismatch():
     e = expand_polydet(2, ["A", "B"])
     with pytest.raises(ValueError):
         evaluate(e, {"A": np.eye(3), "B": np.eye(3)})
+
+
+def test_evaluate_empty_expansion_is_zero():
+    cancelled = parse_expansion(
+        '{"n": 2, "terms": ['
+        '{"coef": ["1", "2"], "words": [["A", "B"]]},'
+        '{"coef": ["-1", "2"], "words": [["B", "A"]]}]}'
+    )
+    assert cancelled.terms == ()
+    assert evaluate(cancelled, {}) == 0j
+    assert evaluate(cancelled, {"A": np.eye(2)}) == 0j
+
+
+@pytest.mark.parametrize("labels", (["B", "A", "B", "C"], ["A"] * 4))
+def test_evaluate_repeated_labels_matches_engine(labels):
+    e = expand_polydet(len(labels), labels)
+    binding = {label: random_matrix(len(labels), 3600 + ord(label)) for label in set(labels)}
+    value = evaluate(e, binding)
+    reference = polydet_subset_sum([binding[label] for label in labels]).value
+    assert abs(value - reference) <= 1e-12 * max(abs(reference), 1.0)
+
+
+def test_evaluate_ignores_extra_labels():
+    e = expand_polydet(3, ["A", "B", "C"])
+    binding = {label: random_matrix(3, 3700 + k) for k, label in enumerate("ABC")}
+    extra = {**binding, "Z": np.full((5, 5), np.nan), "Y": "not a matrix"}
+    assert evaluate(e, extra) == evaluate(e, binding)
+
+
+def test_evaluate_rejects_non_finite_binding():
+    e = expand_polydet(2, ["A", "B"])
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(e, {"A": np.eye(2), "B": np.array([[1.0, np.inf], [0.0, 1.0]])})
+
+
+def test_evaluate_names_the_first_unbound_label_in_term_order():
+    # words sort by length, so Z comes first though A sorts before it
+    e = parse_expansion('{"n": 3, "terms": [{"coef": ["1", "1"], "words": [["A", "Y"], ["Z"]]}]}')
+    assert e.terms[0].words == (("Z",), ("A", "Y"))
+    with pytest.raises(KeyError, match="'Z'"):
+        evaluate(e, {"Y": np.eye(3)})
+    with pytest.raises(KeyError, match="'A'"):
+        evaluate(e, {"Y": np.eye(3), "Z": np.eye(3)})
+
+
+def test_evaluate_plan_holds_no_binding_state():
+    labels = ["A", "B", "C", "D"]
+    e = expand_polydet(4, labels)
+    for seed in (3800, 3900, 3800):
+        mats = [random_matrix(4, seed + k) for k in range(4)]
+        value = evaluate(e, dict(zip(labels, mats)))
+        reference = polydet_subset_sum(mats).value
+        assert abs(value - reference) <= 1e-12 * max(abs(reference), 1.0)
+
+
+def test_evaluated_expansion_still_round_trips():
+    e = expand_polydet(4, ["A", "B", "C", "D"])
+    fresh = expand_polydet(4, ["A", "B", "C", "D"])
+    evaluate(e, {label: random_matrix(4, 3950 + k) for k, label in enumerate("ABCD")})
+    assert parse_expansion(render(e, "json")) == e
+    assert e == fresh and hash(e) == hash(fresh)
+    assert render(e, "json") == render(fresh, "json")
+    assert pickle.dumps(e) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(e)) == e
 
 
 def test_expand_guards():
