@@ -364,16 +364,12 @@ def _family(rank: int, comps: np.ndarray, variance: Sequence[str]) -> LorentzInd
     return LorentzIndexedFamily(rank, tuple(comps.reshape((4**rank,) + comps.shape[rank:])), tuple(variance))
 
 
-#: einsum subscripts contracting (metric or transformation, components) on one index
-_ON_INDEX = {(1, 0): "ma,a...->m...", (2, 0): "ma,ab...->mb...", (2, 1): "mb,ab...->am..."}
-
-
-def _flip_variance(fam: LorentzIndexedFamily, index: int) -> LorentzIndexedFamily:
-    """Raise or lower one index with the (+,-,-,-) metric (its own inverse)."""
-    new = np.einsum(_ON_INDEX[fam.rank, index], METRIC, _stacked(fam))
-    variance = list(fam.variance)
-    variance[index] = "upper" if variance[index] == "lower" else "lower"
-    return _family(fam.rank, new, variance)
+def _on_indices(
+    fam: LorentzIndexedFamily, mats: Sequence[np.ndarray], variance: Sequence[str]
+) -> LorentzIndexedFamily:
+    """Apply the 4 x 4 matrix mats[i] to index i by one einsum; declare the result ``variance``."""
+    subscripts = "ma,a...->m..." if fam.rank == 1 else "ma,nb,ab...->mn..."
+    return _family(fam.rank, np.einsum(subscripts, *mats, _stacked(fam)), variance)
 
 
 def with_variance(fam: LorentzIndexedFamily, variance: Sequence[str]) -> LorentzIndexedFamily:
@@ -381,11 +377,11 @@ def with_variance(fam: LorentzIndexedFamily, variance: Sequence[str]) -> Lorentz
     variance = tuple(variance)
     if len(variance) != fam.rank:
         raise ValueError(f"variance {variance} does not match rank {fam.rank}")
-    out = fam
-    for i, want in enumerate(variance):
-        if out.variance[i] != want:
-            out = _flip_variance(out, i)
-    return out
+    if variance == fam.variance:
+        return fam
+    # the (+,-,-,-) metric is its own inverse, so it both raises and lowers
+    flips = [METRIC if have != want else np.eye(4) for have, want in zip(fam.variance, variance)]
+    return _on_indices(fam, flips, variance)
 
 
 def lorentz_contracted_polydet(vector: LorentzIndexedFamily, tensor: LorentzIndexedFamily) -> complex:
@@ -420,9 +416,7 @@ def transform_family(fam: LorentzIndexedFamily, lam: np.ndarray) -> LorentzIndex
     """Apply a Lorentz transformation; lower indices use g Lam g."""
     lam = np.asarray(lam, dtype=float)
     lowered = METRIC @ lam @ METRIC
-    mats = [lam if v == "upper" else lowered for v in fam.variance]
-    subscripts = "ma,a...->m..." if fam.rank == 1 else "ma,nb,ab...->mn..."
-    return _family(fam.rank, np.einsum(subscripts, *mats, _stacked(fam)), fam.variance)
+    return _on_indices(fam, [lam if v == "upper" else lowered for v in fam.variance], fam.variance)
 
 
 # --- vertex enumeration -----------------------------------------------------

@@ -4,9 +4,11 @@ For an argument tuple (A_1, ..., A_N) of N complex N x N matrices the value
 is the symmetric N-linear function that collapses to det(A) when all
 arguments coincide.  The engines compute it by these routes:
 
-    naive             index sums against the antisymmetric symbol, over
-                      the N! index tuples where it is non-zero:
-                      (1/N!) sum_{i,i'} eps(i) eps(i') prod_k A_k[i_k, i'_k]
+    naive             the full index contraction against the dense N^N
+                      Levi-Civita tensor eps:
+                      (1/N!) sum_{i,j} eps(i) eps(j) prod_k A_k[i_k, j_k],
+                      as N tensordot steps, each contracting one row index
+                      of eps with A_k, then one dot with eps over the columns
     permutation_pair  double sum over permutation pairs (sigma, mu):
                       (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)]
     subset_sum        inclusion-exclusion over +-1 sign vectors delta
@@ -25,16 +27,15 @@ arguments coincide.  The engines compute it by these routes:
     volume            signed average of N! row-mixed oriented volumes:
                       (1/N!) sum_sigma sgn(sigma) det(slot i holds row sigma(i) of A_i)
 
-``naive`` and ``permutation_pair`` evaluate the same double sum, vectorized
-differently.  Agreement of all five on random tuples is the package's core
-cross-check.  One table maps each engine name to its kernel and its guard
-(the largest N it accepts).  A kernel takes a validated (B, N, N, N) batch
-of tuples and returns their B values: ``subset_sum`` evaluates the whole
-batch in stacked ``det`` calls of at most 2^8 matrices, the other four run
-their one-tuple kernel on each row.  ``polydet`` validates one tuple and
-runs it as a batch of one; ``polydet_many`` validates a whole batch once;
-``det_of_sum`` validates its summands once and evaluates the repeated
-tuples of its compositions in batches of at most 2^8 matrices.
+Agreement of all five on random tuples is the package's core cross-check.
+One table maps each engine name to its kernel and its guard (the largest N
+it accepts).  A kernel takes a validated (B, N, N, N) batch of tuples and
+returns their B values: ``subset_sum`` evaluates the whole batch in stacked
+``det`` calls of at most 2^8 matrices, the other four run their one-tuple
+kernel on each row.  ``polydet`` validates one tuple and runs it as a batch
+of one; ``polydet_many`` validates a whole batch once; ``det_of_sum``
+validates its summands once and evaluates the repeated tuples of its
+compositions in batches of at most 2^8 matrices.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .combinatorics import (
     compositions,
     cycle_covers,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
-    levi_civita,
     multinomial,
     permutation_sign,
 )
@@ -97,15 +97,14 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _naive_value(stack: np.ndarray) -> complex:
     n = stack.shape[0]
     perms, signs = _perm_table(n)
-    cols = perms.T  # cols[k, b] = column index of slot k in the b-th inner term
-    inner = np.empty((n, perms.shape[0]), dtype=np.complex128)
-    acc = 0.0 + 0.0j
-    # the n! permutations are the support of the Levi-Civita symbol
-    for idx in itertools.permutations(range(1, n + 1)):
-        for k in range(n):
-            inner[k] = stack[k, idx[k] - 1, cols[k]]
-        acc += levi_civita(idx) * (signs @ np.prod(inner, axis=0))
-    return acc / math.factorial(n)
+    eps = np.zeros((n,) * n)
+    eps[tuple(perms.T)] = signs
+    # each step contracts the leading row index i_k with A_k and appends its
+    # column index j_k last, so after N steps t holds t[j_1, ..., j_N]
+    t = eps
+    for a in stack:
+        t = np.tensordot(t, a, axes=(0, 0))
+    return complex(np.vdot(eps, t)) / math.factorial(n)
 
 
 def _permutation_pair_value(mats: Sequence[np.ndarray]) -> complex:

@@ -161,35 +161,22 @@ def _det_cofactor(a: np.ndarray) -> np.ndarray:
     rule of Sarrus at n = 3), gathered by one index; exact on small-integer
     entries.
     """
-    n = a.shape[-1]
-    if n > 3:
-        raise ValueError(f"cofactor determinant only implemented for n <= 3, got n={n}")
-    rows, perms, signs = _CLOSED_FORM[n]
+    rows, perms, signs = _CLOSED_FORM[a.shape[-1]]
     return (a[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
 
 
-def det(m, method: str = "auto"):
+def det(m):
     """Determinant of a complex square matrix, or of every matrix in a stack.
 
     An (n, n) matrix gives a complex; a (B, n, n) stack gives a (B,)
-    complex128 array.  Both run the same code, a matrix as a stack of one.
-
-    method:
-        "auto"      closed-form cofactor expansion for n <= 3, LU for n >= 4
-        "cofactor"  explicit closed form, n <= 3 only
-        "lu"        LU factorization with partial pivoting (LAPACK) for any n
+    complex128 array.  Both run the same code, a matrix as a stack of one:
+    the closed-form cofactor expansion for n <= 3, LU factorization with
+    partial pivoting (LAPACK) for n >= 4.
     """
     a = np.asarray(m, dtype=np.complex128)
     single = a.ndim != 3
     stack = _as_square(a, "matrix", 2)[None] if single else _as_square(a, "matrix stack", 3)
-    if method == "auto":
-        method = "cofactor" if stack.shape[-1] <= 3 else "lu"
-    if method == "cofactor":
-        d = _det_cofactor(stack)
-    elif method == "lu":
-        d = np.linalg.det(stack)
-    else:
-        raise ValueError(f"unknown determinant method {method!r}")
+    d = _det_cofactor(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
     return complex(d[0]) if single else d
 
 
@@ -210,14 +197,15 @@ def identity(n: int) -> np.ndarray:
 def inverse(m) -> np.ndarray:
     """Matrix inverse via LU, guarded by the singularity floor.
 
-    A matrix is treated as singular when |det| < 1e-12 * (max row norm)^n,
-    where the row norm is the maximum absolute row sum.
+    A matrix is treated as singular when |det| <= 1e-12 * (max row norm)^n,
+    where the row norm is the maximum absolute row sum; the zero matrix is
+    singular.
     """
     a = as_matrix(m)
     n = a.shape[0]
     row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
     d = det(a)
-    if abs(d) < ABS_TOL * max(row_norm, 1.0) ** n:
+    if abs(d) <= ABS_TOL * row_norm**n:
         raise SingularMatrixError(f"matrix is numerically singular (|det|={abs(d):.3e})")
     return np.linalg.inv(a)
 

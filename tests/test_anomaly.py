@@ -442,6 +442,11 @@ def loop_flip(fam, index):
     return [sum(METRIC[nu, rho] * c[4 * mu + rho] for rho in range(4)) for mu in range(4) for nu in range(4)]
 
 
+def flipped_variance(variance, index):
+    """``variance`` with index ``index`` raised or lowered."""
+    return tuple(("upper" if v == "lower" else "lower") if i == index else v for i, v in enumerate(variance))
+
+
 def assert_components_close(got, want):
     got, want = np.array(got), np.array(want)
     assert got.shape == want.shape
@@ -454,16 +459,17 @@ def test_transform_and_variance_flip_match_index_loops():
         v = rank1_family(rng, variance)
         lam = boost_matrix(0.8, 2)
         assert_components_close(transform_family(v, lam).components, loop_transform(v, lam))
-        assert_components_close(anomaly_module._flip_variance(v, 0).components, loop_flip(v, 0))
+        assert_components_close(with_variance(v, flipped_variance(variance, 0)).components, loop_flip(v, 0))
     for variance in (("upper", "upper"), ("upper", "lower"), ("lower", "upper")):
         t = rank2_family(rng, variance)
         lam = boost_matrix(-1.3, 3) @ boost_matrix(0.4, 1)
         moved = transform_family(t, lam)
         assert moved.variance == variance
         assert_components_close(moved.components, loop_transform(t, lam))
+        assert with_variance(t, variance) is t
         for index in (0, 1):
-            flipped = anomaly_module._flip_variance(t, index)
-            assert flipped.variance[index] != variance[index]
+            flipped = with_variance(t, flipped_variance(variance, index))
+            assert flipped.variance == flipped_variance(variance, index) != variance
             assert_components_close(flipped.components, loop_flip(t, index))
 
 

@@ -510,6 +510,36 @@ def test_subset_sum_exact_on_scaled_commuting_tuples(n):
         assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
+def exact_scaled_eps(mats):
+    """N! eps as the double sum over permutation pairs, on Gaussian-integer entries.
+
+    With entries in {-3..3} + i{-3..3} and N <= 5 every product and partial
+    sum is a Gaussian integer of modulus below 2^25, so each complex
+    operation is exact.
+    """
+    n = len(mats)
+    perms = [(p, permutation_sign(p)) for p in itertools.permutations(range(n))]
+    total = 0j
+    for sigma, s_sigma in perms:
+        for mu, s_mu in perms:
+            term = complex(s_sigma * s_mu)
+            for k in range(n):
+                term *= complex(mats[k][sigma[k], mu[k]])
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_engine_matches_exact_oracle_on_gaussian_integers(n):
+    for seed in range(5):
+        rng = np.random.default_rng([3300, n, seed])
+        mats = rng.integers(-3, 4, (n, n, n)) + 1j * rng.integers(-3, 4, (n, n, n))
+        exact = exact_scaled_eps(mats)
+        for name, engine in ENGINES.items():
+            err = abs(engine(mats).value * math.factorial(n) - exact) / max(abs(exact), 1.0)
+            assert err <= 1e-12, (name, seed, err)
+
+
 def exact_eps3(mats):
     """eps of three 3x3 matrices by the subset-sum identity over exact rationals."""
 
