@@ -12,6 +12,12 @@ contraction (16) and an invariance ratio (2) -- validates its tuples once
 and takes them from one ``polydet_many`` batch.  Lorentz-indexed families
 are stacked into one array and transformed or metric-converted by one
 ``einsum``.
+
+The vertex expansion is array work over integer field codes: each
+structure's slot choices are one gather from the 3-flavor eps table, equal
+complex monomials are summed by ``bincount``, and each one's 2^d real
+monomials are formed, merged and ordered by a stable sort of 16-bit keys.
+Python builds only the output tuples.
 """
 
 from __future__ import annotations
@@ -117,17 +123,21 @@ def build_generators(n: int) -> GeneratorBasis:
     return GeneratorBasis(n, tuple(mats))
 
 
+#: the 3-flavor generators t^0..t^8 as one read-only (9, 3, 3) stack, and the
+#: basis whose generators are views of it
+_T3 = np.array(build_generators(3).generators)
+_T3.flags.writeable = False
+_BASIS3 = GeneratorBasis(3, tuple(_T3))
+
+
 def assemble_field_matrix(basis: GeneratorBasis, s: Sequence[float], p: Sequence[float]) -> np.ndarray:
-    """A = (1/sqrt(2)) sum_a (s^a + i p^a) t^a."""
+    """A = (1/sqrt(2)) sum_a (s^a + i p^a) t^a, as one ``tensordot``."""
     n2 = basis.n * basis.n
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
     if s.shape != (n2,) or p.shape != (n2,):
         raise ValueError(f"component arrays must have length {n2}, got {s.shape} and {p.shape}")
-    out = np.zeros((basis.n, basis.n), dtype=np.complex128)
-    for a in range(n2):
-        out += (s[a] + 1j * p[a]) * basis.generators[a]
-    return out / math.sqrt(2.0)
+    return np.tensordot(s + 1j * p, basis.generators, axes=1) / math.sqrt(2.0)
 
 
 def project_field_matrix(basis: GeneratorBasis, m) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +210,12 @@ def check_invariance(mats: Sequence, u_left, u_right, engine: Optional[str] = No
     return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))
 
 
-def _field_matrices(cfg: FieldConfiguration, basis: GeneratorBasis, f0: float, shifted: bool):
+def _field_matrices(cfg: FieldConfiguration, f0: float, shifted: bool):
     mats = []
     for i, mult in enumerate(cfg.multiplets):
-        a = assemble_field_matrix(basis, mult.s, mult.p)
+        a = assemble_field_matrix(_BASIS3, mult.s, mult.p)
         if shifted and i == 0:
-            a = f0 * basis.generators[0] + a
+            a = f0 * _T3[0] + a
         mats.append(a)
     return mats
 
@@ -220,8 +230,7 @@ def lagrangian_value(cfg: FieldConfiguration, couplings: Couplings, shifted: boo
         raise ValueError(f"the Lagrangian layer is fixed at 3 flavors, got n={cfg.n}")
     if len(cfg.multiplets) != 2:
         raise ValueError(f"need exactly 2 multiplets, got {len(cfg.multiplets)}")
-    basis = build_generators(3)
-    a1, a2 = _field_matrices(cfg, basis, couplings.f0, shifted)
+    a1, a2 = _field_matrices(cfg, couplings.f0, shifted)
     total = (
         couplings.c1 * det(a1)
         + couplings.c2 * det(a2)
@@ -312,10 +321,9 @@ def verify_field_expansion(seed: int, samples: int = 200) -> FieldExpansionRepor
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    gens = np.array(build_generators(3).generators)
     comps = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 4, 9))
     phi = comps[:, 0::2] + 1j * comps[:, 1::2]  # (samples, multiplet, a)
-    fields = np.einsum("ska,aij->skij", phi, gens) / math.sqrt(2.0)
+    fields = np.einsum("ska,aij->skij", phi, _T3) / math.sqrt(2.0)
     # 64 samples at a time keep the polynomial's (samples, terms) temporaries at
     # 53 KB; all 200 at once made 166 KB ones, which raised the peak RSS
     p_arr = np.concatenate([_field_polynomial(f[:, 0], f[:, 1]) for f in np.split(phi, range(64, samples, 64))])
@@ -425,10 +433,9 @@ def transform_family(fam: LorentzIndexedFamily, lam: np.ndarray) -> LorentzIndex
 @lru_cache(maxsize=1)
 def _eps3_table() -> np.ndarray:
     """eps(t^a, t^b, t^c) over the 3-flavor basis, all 9^3 combinations."""
-    ts = np.array(build_generators(3).generators)
     # eps is symmetric in its arguments, so the 165 tuples with a <= b <= c give the table
     abc = np.array(list(itertools.combinations_with_replacement(range(9), 3)))
-    values = polydet_many(ts[abc])
+    values = polydet_many(_T3[abc])
     table = np.zeros((9, 9, 9), dtype=np.complex128)
     for order in itertools.permutations(range(3)):
         table[tuple(abc[:, order].T)] = values
@@ -437,25 +444,46 @@ def _eps3_table() -> np.ndarray:
 
 FieldSymbol = tuple[str, int, int]  # (kind "s"|"p", multiplet 1|2, generator index)
 
+# Field codes of the vertex expansion.  Code 0 is no field: the vacuum source
+# f0 t^0, or an empty slot of a monomial of degree below 3.  The complex field
+# phi_k^a has the code 1 + 9 (k - 1) + a.  The real field of kind "p" has its
+# complex field's code and that of kind "s" the code plus 18, so real codes sort
+# as the symbol tuples do.  A monomial is keyed by its three codes sorted
+# ascending; its empty slots lead, so keys in base 37 sort by (degree, monomial).
+#: the real-field symbol of each code
+_SYMBOLS: tuple[Optional[FieldSymbol], ...] = (None,) + tuple(
+    (kind, k, a) for kind in "ps" for k in (1, 2) for a in range(9)
+)
+#: the s/p kinds of three fields in product("sp") order, 1 for "p"
+_KINDS = np.array(list(itertools.product((0, 1), repeat=3)))
 
-def enumerate_vertices(couplings: Couplings, tol: float = 1e-10) -> list[tuple[tuple[FieldSymbol, ...], float]]:
-    """Exact expansion of the shifted Lagrangian into real-field monomials.
 
-    Expands each of the four interaction structures multilinearly over the
-    generator basis with A1 = f0 t^0 + fields, applies the +h.c. (twice the
-    real part), and merges; returns [(monomial, coefficient), ...] sorted by
-    degree then monomial, keeping coefficients with |c| > tol * scale.
+def _sorted3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort three integer arrays elementwise by a three-comparator network."""
+    x, y = np.minimum(x, y), np.maximum(x, y)
+    y, z = np.minimum(y, z), np.maximum(y, z)
+    return np.minimum(x, y), np.maximum(x, y), z
+
+
+def _complex_monomials(couplings: Couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(key, Re z, Im z) of every complex monomial z of the four structures.
+
+    A key is the monomial's sorted field codes in base 19.  Each structure's
+    slot choices are taken at once: one gather from the eps table, and the
+    non-zero ones weighted as coupling * c_0 * c_1 * c_2 * eps in that order.
+    One ``bincount`` per part sums each monomial in choice order, which is
+    the order of a loop over ``itertools.product``.
     """
     eps3 = _eps3_table()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
-    # slot sources: (coefficient, generator index, complex-field symbol or None)
-    def sources(multiplet: int):
-        out = []
+    def sources(multiplet: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A slot's sources as (coefficients, generator indices, field codes)."""
+        gens = np.arange(9)
+        coefs, codes = np.full(9, complex(inv_sqrt2)), 1 + 9 * (multiplet - 1) + gens
         if multiplet == 1 and couplings.f0 != 0.0:
-            out.append((complex(couplings.f0), 0, None))
-        out.extend((complex(inv_sqrt2), a, (multiplet, a)) for a in range(9))
-        return out
+            return np.r_[complex(couplings.f0), coefs], np.r_[0, gens], np.r_[0, codes]
+        return coefs, gens, codes
 
     structures = (
         (couplings.c1, (1, 1, 1)),
@@ -463,47 +491,71 @@ def enumerate_vertices(couplings: Couplings, tol: float = 1e-10) -> list[tuple[t
         (couplings.c3, (1, 1, 2)),
         (couplings.c4, (1, 2, 2)),
     )
-    complex_monomials: dict[tuple, complex] = {}
+    # the empty first entries make all-zero couplings an empty expansion
+    keys, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
     for coupling, slots in structures:
         if coupling == 0:
             continue
-        slot_sources = [sources(k) for k in slots]
-        for choice in itertools.product(*slot_sources):
-            weight = coupling
-            gens = []
-            symbols = []
-            for coef, gen, sym in choice:
-                weight *= coef
-                gens.append(gen)
-                if sym is not None:
-                    symbols.append(sym)
-            value = eps3[gens[0], gens[1], gens[2]]
-            if value == 0:
-                continue
-            key = tuple(sorted(symbols))
-            complex_monomials[key] = complex_monomials.get(key, 0.0) + weight * value
+        (c0, g0, code0), (c1, g1, code1), (c2, g2, code2) = (sources(k) for k in slots)
+        # the (slot 0, slot 1, slot 2) grid raveled is itertools.product order
+        eps = eps3[np.ix_(g0, g1, g2)].ravel()
+        nz = np.flatnonzero(eps)
+        weights.append((((coupling * c0[:, None, None]) * c1[:, None]) * c2).ravel()[nz] * eps[nz])
+        a, b, c = _sorted3(*(x.ravel()[nz] for x in np.broadcast_arrays(*np.ix_(code0, code1, code2))))
+        keys.append((a * 19 + b) * 19 + c)
+    keys, weights = np.concatenate(keys), np.concatenate(weights)
+    re, im = (np.bincount(keys, part, minlength=19**3) for part in (weights.real, weights.imag))
+    monos = np.flatnonzero((re != 0) | (im != 0))
+    return monos, re[monos], im[monos]
 
-    real_monomials: dict[tuple[FieldSymbol, ...], float] = {}
-    for symbols, z in complex_monomials.items():
-        for kinds in itertools.product("sp", repeat=len(symbols)):
-            factor = z * (1j) ** kinds.count("p")
-            coef = 2.0 * factor.real
-            if coef == 0.0:
-                continue
-            key = tuple(sorted((kd, k, a) for kd, (k, a) in zip(kinds, symbols)))
-            real_monomials[key] = real_monomials.get(key, 0.0) + coef
 
+def _real_monomials(monos: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, coefficient) of every non-zero real monomial, in key order.
+
+    A complex monomial z of degree d gives 2^d real ones in product("sp")
+    order, each with 2 Re(z i^m) for m fields of kind "p".  Those equal after
+    sorting (from a repeated field) are summed in that order.
+    """
+    fields = np.stack([monos // 19**2, monos // 19 % 19, monos % 19], axis=1)
+    # 2 Re(z i^m) for m = 0..3 is exactly 2 Re z, -2 Im z, -2 Re z, 2 Im z
+    coefs = (2.0 * np.stack([re, -im, -re, im]))[_KINDS.sum(axis=1)].T
+    # the 3 - d empty slots lead, so the first 2^d of the 8 kinds, those with
+    # "s" in every empty slot, are the monomial's own in product("sp") order
+    own = np.arange(8) < 2 ** np.count_nonzero(fields, axis=1)[:, None]
+    keep = own & (coefs != 0.0)
+    real = np.where(fields[:, None, :] > 0, fields[:, None, :] + 18 * (1 - _KINDS), 0)[keep]
+    a, b, c = _sorted3(*real.T.astype(np.uint16))
+    keys = (a * 37 + b) * 37 + c
+    # stable, so equal keys keep kinds order; on 16-bit keys numpy takes a radix sort
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first], np.bincount(np.cumsum(first) - 1, coefs[keep][order])
+
+
+def enumerate_vertices(couplings: Couplings, tol: float = 1e-10) -> list[tuple[tuple[FieldSymbol, ...], float]]:
+    """Exact expansion of the shifted Lagrangian into real-field monomials.
+
+    Expands each of the four interaction structures multilinearly over the
+    generator basis with A1 = f0 t^0 + fields, applies the +h.c. (twice the
+    real part), and merges; returns [(monomial, coefficient), ...] sorted by
+    degree then monomial, keeping coefficients with |c| > tol * scale.  Both
+    stages are array operations; Python builds only the output tuples.
+    """
+    keys, coef = _real_monomials(*_complex_monomials(couplings))
     scale = max(
         [abs(c) for c in (couplings.c1, couplings.c2, couplings.c3, couplings.c4)]
         + [1e-300]
     ) * max(1.0, abs(couplings.f0)) ** 2
-    out = [
-        (mono, coef)
-        for mono, coef in real_monomials.items()
-        if abs(coef) > tol * scale
+    kept = np.abs(coef) > tol * scale
+    digits = np.stack([keys // 37**2, keys // 37 % 37, keys % 37])[:, kept]
+    empty = np.count_nonzero(digits == 0, axis=0)
+    sym = _SYMBOLS
+    return [
+        ((sym[a], sym[b], sym[c])[e:], value)
+        for e, a, b, c, value in zip(empty.tolist(), *digits.tolist(), coef[kept].tolist())
     ]
-    out.sort(key=lambda item: (len(item[0]), item[0]))
-    return out
 
 
 # --- JSON interfaces ---------------------------------------------------------

@@ -7,7 +7,7 @@ arguments coincide.  The engines compute it by these routes:
     naive             the full index contraction against the dense N^N
                       Levi-Civita tensor eps:
                       (1/N!) sum_{i,j} eps(i) eps(j) prod_k A_k[i_k, j_k],
-                      as N tensordot steps, each contracting one row index
+                      as N matrix products, each contracting one row index
                       of eps with A_k, then one dot with eps over the columns
     permutation_pair  double sum over permutation pairs (sigma, mu):
                       (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)]
@@ -99,11 +99,12 @@ def _naive_value(stack: np.ndarray) -> complex:
     perms, signs = _perm_table(n)
     eps = np.zeros((n,) * n)
     eps[tuple(perms.T)] = signs
-    # each step contracts the leading row index i_k with A_k and appends its
-    # column index j_k last, so after N steps t holds t[j_1, ..., j_N]
+    # each step is one matrix product: it contracts the leading row index i_k
+    # of t with A_k and appends A_k's column index j_k last, so after N steps
+    # t holds t[j_1, ..., j_N]
     t = eps
     for a in stack:
-        t = np.tensordot(t, a, axes=(0, 0))
+        t = t.reshape(n, -1).T @ a
     return complex(np.vdot(eps, t)) / math.factorial(n)
 
 

@@ -48,10 +48,18 @@ def _rand_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
 
 
+#: A conjugator is redrawn until its 1-norm condition number is below this.
+#: Over 3000 suites at n = 2..5, conjugation_invariance then deviates by at
+#: most 8.5e-12, two orders under TOL, and 2.7% of draws or fewer are redrawn.
+#: Bounding only |det U| let cond(U) reach 5.9e3 and the deviation 5.2e-7 on
+#: correct engines.  The 1-norm takes an LU inverse, not the SVD of the 2-norm.
+MAX_CONJUGATOR_COND = 100.0
+
+
 def _rand_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         m = _rand_matrix(rng, n)
-        if abs(np.linalg.det(m)) > 1e-3:
+        if np.linalg.cond(m, 1) < MAX_CONJUGATOR_COND:
             return m
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 from pathlib import Path
@@ -534,6 +535,95 @@ def test_eps3_table_has_exact_zeros_and_no_noise():
     assert np.count_nonzero(table == 0) == 646
     assert np.count_nonzero(table) == 83
     assert np.min(np.abs(table[table != 0])) > 1e-3
+
+
+def vertices_loop_reference(couplings, tol=1e-10):
+    """The vertex expansion written out slot choice by slot choice and kind by kind."""
+    eps3 = anomaly_module._eps3_table()
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+
+    def sources(multiplet):
+        out = []
+        if multiplet == 1 and couplings.f0 != 0.0:
+            out.append((complex(couplings.f0), 0, None))
+        out.extend((complex(inv_sqrt2), a, (multiplet, a)) for a in range(9))
+        return out
+
+    structures = (
+        (couplings.c1, (1, 1, 1)),
+        (couplings.c2, (2, 2, 2)),
+        (couplings.c3, (1, 1, 2)),
+        (couplings.c4, (1, 2, 2)),
+    )
+    complex_monomials = {}
+    for coupling, slots in structures:
+        if coupling == 0:
+            continue
+        for choice in itertools.product(*[sources(k) for k in slots]):
+            weight = coupling
+            gens = []
+            symbols = []
+            for coef, gen, sym in choice:
+                weight *= coef
+                gens.append(gen)
+                if sym is not None:
+                    symbols.append(sym)
+            value = eps3[gens[0], gens[1], gens[2]]
+            if value == 0:
+                continue
+            key = tuple(sorted(symbols))
+            complex_monomials[key] = complex_monomials.get(key, 0.0) + weight * value
+
+    real_monomials = {}
+    for symbols, z in complex_monomials.items():
+        for kinds in itertools.product("sp", repeat=len(symbols)):
+            coef = 2.0 * (z * (1j) ** kinds.count("p")).real
+            if coef == 0.0:
+                continue
+            key = tuple(sorted((kd, k, a) for kd, (k, a) in zip(kinds, symbols)))
+            real_monomials[key] = real_monomials.get(key, 0.0) + coef
+
+    scale = max(
+        [abs(c) for c in (couplings.c1, couplings.c2, couplings.c3, couplings.c4)]
+        + [1e-300]
+    ) * max(1.0, abs(couplings.f0)) ** 2
+    out = [(mono, coef) for mono, coef in real_monomials.items() if abs(coef) > tol * scale]
+    out.sort(key=lambda item: (len(item[0]), item[0]))
+    return out
+
+
+def vertex_coupling_sets():
+    path = Path(__file__).resolve().parent.parent / "configs" / "couplings.json"
+    bundled = couplings_from_json(json.loads(path.read_text()))
+    c1, c2, c3, c4 = bundled.c1, bundled.c2, bundled.c3, bundled.c4
+    sets = [
+        bundled,
+        Couplings(c1, c2, c3, c4, f0=0.0),
+        Couplings(c1, c2, c3, c4, f0=1e5),
+        Couplings(0.0, 0.0, 0.0, 0.0, f0=0.9),
+        Couplings(0.0, 0.0, 1.0, 0.0, f0=0.9),
+        Couplings(1.0, 0.0, 0.0, 0.0, f0=-2.5),
+    ]
+    rng = np.random.default_rng(2610)
+    for _ in range(20):
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        sets.append(Couplings(*(complex(x) for x in z), f0=float(rng.uniform(-3.0, 3.0))))
+    return sets
+
+
+@pytest.mark.parametrize("tol", (1e-10, 0.0))
+def test_vertices_equal_the_loop_reference(tol):
+    # same monomials, same order, bitwise-equal coefficients
+    for couplings in vertex_coupling_sets():
+        assert enumerate_vertices(couplings, tol) == vertices_loop_reference(couplings, tol), couplings
+
+
+def test_vertices_equal_the_loop_reference_from_a_cold_table():
+    couplings = vertex_coupling_sets()[0]
+    anomaly_module._eps3_table.cache_clear()
+    vertices = enumerate_vertices(couplings)
+    assert len(vertices) == 987
+    assert vertices == vertices_loop_reference(couplings)
 
 
 def test_vertices_empty_for_zero_couplings():

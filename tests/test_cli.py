@@ -188,9 +188,19 @@ def test_bench_engine_failure_exits_2_with_message(capsys, monkeypatch):
     assert "engine exploded" in capsys.readouterr().err
 
 
-def test_bench_pair_sum_beats_index_sum():
-    rows = {name: mean for name, _, mean, _ in cli.run_bench([4], ["naive", "permutation_pair"], repetitions=5, seed=2)}
-    assert rows["permutation_pair"] < rows["naive"]
+def test_bench_rows_follow_the_input_order_and_skip_guarded_cells():
+    # naive is guarded above n = 6, so its n = 7 cell has no row
+    rows = cli.run_bench([3, 7, 2], ["naive", "subset_sum"], repetitions=3, seed=2)
+    assert [(name, n) for name, n, _, _ in rows] == [
+        ("naive", 3),
+        ("naive", 2),
+        ("subset_sum", 3),
+        ("subset_sum", 7),
+        ("subset_sum", 2),
+    ]
+    for _, _, mean, std in rows:
+        assert math.isfinite(mean) and mean > 0
+        assert math.isfinite(std) and std >= 0
 
 
 def test_bench_out_file(capsys, tmp_path):

@@ -23,11 +23,21 @@ def test_suite_threaded_matches_sequential():
 
 
 def test_suite_passes_where_conjugation_cancels_hard():
-    # at this seed the n = 5 conjugator is ill-conditioned; the 0/1 subset-sum
-    # kernel gave conjugation_invariance a deviation of 4.3e-9 (tol 1e-9), the
-    # +-1 form gives 7e-11
+    # at this seed the first n = 5 conjugator drawn has cond 4.7e3; the 0/1
+    # subset-sum kernel gave conjugation_invariance a deviation of 4.3e-9 (tol
+    # 1e-9), the +-1 form 7e-11.  Since conjugators are bounded by
+    # MAX_CONJUGATOR_COND that one is redrawn.
     results = run_property_suite(seed=643643832, trials=1, n_values=(5,))
     assert {r.name for r in results} == set(PROPERTY_NAMES)
+    assert all(r.passed for r in results), [(r.name, r.max_dev) for r in results if not r.passed]
+
+
+def test_suite_passes_where_the_conjugator_was_ill_conditioned():
+    # this suite seed (pass 272 of the verify benchmark at seed 2106) drew an
+    # n = 3 conjugator with cond 5.9e3, and conjugation_invariance deviated by
+    # 5.2e-7 on correct engines; the conjugator redrawn below MAX_CONJUGATOR_COND
+    # gives 3.5e-16
+    results = run_property_suite(seed=891916286, trials=1, n_values=(3,))
     assert all(r.passed for r in results), [(r.name, r.max_dev) for r in results if not r.passed]
 
 
