@@ -6,13 +6,10 @@ Lagrangian toolkit built on them.
 
 from .combinatorics import (
     GuardLimitError,
-    Permutation,
     cayley_hamilton_coefficient,
     count_distinct_terms,
     enumerate_partition_vectors,
-    iterate_permutations,
     iterate_subsets,
-    levi_civita,
     multinomial,
 )
 from .engines import (
@@ -54,13 +51,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GuardLimitError",
-    "Permutation",
     "cayley_hamilton_coefficient",
     "count_distinct_terms",
     "enumerate_partition_vectors",
-    "iterate_permutations",
     "iterate_subsets",
-    "levi_civita",
     "multinomial",
     "DEFAULT_ENGINE",
     "ENGINES",

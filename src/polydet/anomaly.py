@@ -189,7 +189,7 @@ class IndeterminateRatioError(ValueError):
     scale of its arguments, for the ratio to mean anything."""
 
 
-def check_invariance(mats: Sequence, u_left, u_right, engine: Optional[str] = None) -> InvarianceReport:
+def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
     """Ratio of the mixed discriminant after/before A_k -> U_L A_k U_R^dagger.
 
     For special-unitary factors the ratio must be 1; in general it equals
@@ -202,7 +202,7 @@ def check_invariance(mats: Sequence, u_left, u_right, engine: Optional[str] = No
     """
     n, stack = validate_matrix_tuple(mats)
     u_left, u_right = _unitaries(u_left, u_right)
-    base, moved = polydet_many([stack, u_left @ stack @ u_right.conj().T], engine).tolist()
+    base, moved = polydet_many([stack, u_left @ stack @ u_right.conj().T]).tolist()
     if abs(base) <= 1e-12 * float(np.abs(stack).max()) ** n:
         raise IndeterminateRatioError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
     ratio = moved / base
@@ -355,11 +355,6 @@ class LorentzIndexedFamily:
             )
         if len(self.variance) != self.rank or any(v not in ("upper", "lower") for v in self.variance):
             raise ValueError(f"invalid variance declaration {self.variance}")
-
-    def component(self, mu: int, nu: Optional[int] = None) -> np.ndarray:
-        if self.rank == 1:
-            return self.components[mu]
-        return self.components[4 * mu + nu]
 
 
 def _stacked(fam: LorentzIndexedFamily) -> np.ndarray:
@@ -588,11 +583,14 @@ def _as_complex(value) -> complex:
 
 
 def couplings_from_json(obj) -> Couplings:
-    """Parse {"c1": [re, im], ..., "f0": x}; bare numbers mean real couplings."""
+    """Parse {"c1": [re, im], ..., "f0": x}; bare numbers mean real couplings.
+
+    Every value must be finite.
+    """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        return Couplings(
+        couplings = Couplings(
             c1=_as_complex(obj["c1"]),
             c2=_as_complex(obj["c2"]),
             c3=_as_complex(obj["c3"]),
@@ -601,3 +599,7 @@ def couplings_from_json(obj) -> Couplings:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid couplings JSON: {exc}") from exc
+    for name, value in vars(couplings).items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"invalid couplings JSON: {name} must be finite, got {value}")
+    return couplings

@@ -74,7 +74,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         n_values=_parse_n_range(args.n),
-        engines=_engines.ENGINES,
     )
     if args.json:
         _emit(_verify.report_json(results), args.out)

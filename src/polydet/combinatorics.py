@@ -1,11 +1,11 @@
-"""Permutation, cycle-cover, subset, partition and cyclic trace-word
-machinery shared by the engines and the symbolic layer.
+"""Signs and cycle covers of permutations, subsets, partition vectors and
+cyclic trace words, shared by the engines and the symbolic layer.
 
 One cycle walk gives both permutation signs and the cycle covers behind the
-trace expansion.  Index conventions follow the tensor notation: permutation
-images and Levi-Civita arguments are one-based; cycle covers, which index
-matrix stacks, are zero-based.  Partition vectors (n1, ..., nN) count
-trace factors of each word length and satisfy n1 + 2*n2 + ... + N*nN = N.
+trace expansion.  Only subsets are one-based, following the tensor
+notation; cycle covers, which index matrix stacks, are zero-based.
+Partition vectors (n1, ..., nN) count trace factors of each word length and
+satisfy n1 + 2*n2 + ... + N*nN = N.
 All coefficients are exact ``fractions.Fraction`` values.
 """
 
@@ -15,15 +15,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "GuardLimitError",
-    "Permutation",
-    "iterate_permutations",
     "permutation_sign",
     "cycle_covers",
-    "levi_civita",
     "enumerate_partition_vectors",
     "canonicalize",
     "cayley_hamilton_coefficient",
@@ -39,11 +36,6 @@ SUBSET_MAX_N = 24
 
 class GuardLimitError(ValueError):
     """Raised when an enumeration would blow past its cost guard."""
-
-
-class Permutation(NamedTuple):
-    mapping: tuple[int, ...]  # one-based images, a bijection of {1..n}
-    sign: int
 
 
 def _cycle_walk(images: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -83,37 +75,8 @@ def cycle_covers(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     index, so an index cycle is already the canonical spelling of its word.
     """
     if n > PERMUTATION_MAX_N:
-        raise GuardLimitError(f"permutation stream guarded at n <= {PERMUTATION_MAX_N}, got {n}")
+        raise GuardLimitError(f"cycle covers guarded at n <= {PERMUTATION_MAX_N}, got {n}")
     return tuple(_cycle_walk(p) for p in itertools.permutations(range(n)))
-
-
-def iterate_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of {1..n} in lexicographic order, with signs."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > PERMUTATION_MAX_N:
-        raise GuardLimitError(f"permutation stream guarded at n <= {PERMUTATION_MAX_N}, got {n}")
-    for mapping in itertools.permutations(range(1, n + 1)):
-        yield Permutation(mapping, permutation_sign(mapping))
-
-
-def levi_civita(indices: Sequence[int]) -> int:
-    """Totally antisymmetric symbol on one-based indices.
-
-    Returns 0 when any index repeats, otherwise the permutation parity.
-    Indices outside {1..N} (N = len(indices)) raise ValueError.
-    """
-    n = len(indices)
-    for ix in indices:
-        if not 1 <= ix <= n:
-            raise ValueError(f"index {ix} out of range 1..{n}")
-    seen = 0
-    for ix in indices:
-        bit = 1 << ix
-        if seen & bit:
-            return 0
-        seen |= bit
-    return permutation_sign(indices)
 
 
 def enumerate_partition_vectors(n: int) -> list[tuple[int, ...]]:

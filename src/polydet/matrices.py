@@ -259,16 +259,19 @@ def matrix_to_json(m) -> str:
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the JSON matrix format (a dict or a JSON string).
 
-    Schema: {"n": 3, "re": [[...], ...], "im": [[...], ...]}; "im" may be
-    omitted and then defaults to zero.  Row index first.
+    Schema: {"n": 3, "re": [[...], ...], "im": [[...], ...]}; "n" is an
+    integer, and "im" may be omitted and then defaults to zero.  Row index
+    first.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "re" not in obj:
         raise ValueError('matrix JSON must be an object with "n" and "re" fields')
-    n = int(obj["n"])
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f'"n" must be an integer, got {n!r}')
     re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=float)
+    im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f'"re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}')
     return as_matrix(re + 1j * im)
@@ -277,11 +280,6 @@ def matrix_from_json(obj) -> np.ndarray:
 def load_matrix_file(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))
-
-
-def close(a: complex, b: complex, rel: float = REL_TOL, abs_floor: float = ABS_TOL) -> bool:
-    """Tolerance comparison: |a-b| <= max(abs_floor, rel * max(|a|, |b|))."""
-    return abs(a - b) <= max(abs_floor, rel * max(abs(a), abs(b)))
 
 
 def max_deviation(pairs: Sequence[tuple[complex, complex]]) -> float:

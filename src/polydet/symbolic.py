@@ -146,35 +146,26 @@ def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     return [(comp, multinomial(n, comp)) for comp in compositions(n, r)]
 
 
-def _format_coef(coef: Fraction) -> str:
-    if coef.denominator == 1:
-        return str(coef.numerator)
-    return f"{coef.numerator}/{coef.denominator}"
+#: per signed-sum format: the opening of a trace, the joiner of a word's
+#: letters, the joiner of a term's traces, and the spelling of a
+#: coefficient magnitude other than 1
+_SPELLERS = {
+    "text": ("Tr(", "*", "*", lambda mag: str(mag) + "*"),
+    "latex": ("\\mathrm{Tr}(", "", "", lambda mag: f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"),
+}
 
 
-def _render_text(expansion: TraceExpansion) -> str:
+def _render_signed(expansion: TraceExpansion, format: str) -> str:
+    """The terms as one signed sum: "-" before a negative first term, " + "
+    or " - " before each later one, and "0" for no terms."""
+    opening, letters, joiner, spell_magnitude = _SPELLERS[format]
     parts = []
     for i, term in enumerate(expansion.terms):
         coef = term.coefficient
         mag = abs(coef)
-        body = "*".join("Tr(" + "*".join(word) + ")" for word in term.words)
+        body = joiner.join(opening + letters.join(word) + ")" for word in term.words)
         if mag != 1:
-            body = f"{_format_coef(mag)}*{body}"
-        if i == 0:
-            parts.append(body if coef > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coef > 0 else f" - {body}")
-    return "".join(parts) if parts else "0"
-
-
-def _render_latex(expansion: TraceExpansion) -> str:
-    parts = []
-    for i, term in enumerate(expansion.terms):
-        coef = term.coefficient
-        mag = abs(coef)
-        body = "".join("\\mathrm{Tr}(" + "".join(word) + ")" for word in term.words)
-        if mag != 1:
-            body = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}{body}"
+            body = spell_magnitude(mag) + body
         if i == 0:
             parts.append(body if coef > 0 else f"-{body}")
         else:
@@ -198,10 +189,8 @@ def _render_json(expansion: TraceExpansion) -> str:
 
 def render(expansion: TraceExpansion, format: str = "text") -> str:
     """Deterministic serialization; the json form round-trips losslessly."""
-    if format == "text":
-        return _render_text(expansion)
-    if format == "latex":
-        return _render_latex(expansion)
+    if format in _SPELLERS:
+        return _render_signed(expansion, format)
     if format == "json":
         return _render_json(expansion)
     raise ValueError(f"unknown render format {format!r}")

@@ -684,3 +684,11 @@ def test_couplings_parsing():
 def test_couplings_rejects_missing_fields():
     with pytest.raises(ValueError):
         couplings_from_json({"c1": 1, "f0": 2})
+
+
+@pytest.mark.parametrize("field, bad", [("c1", "inf"), ("c2", "-inf"), ("c3", "nan"), ("c4", "inf"), ("f0", "nan")])
+def test_couplings_reject_non_finite_values(field, bad):
+    obj = {"c1": [1, 2], "c2": 3, "c3": [0, -1], "c4": 0, "f0": 0.5}
+    obj[field] = bad if field == "f0" else [1, bad]
+    with pytest.raises(ValueError, match=f"^invalid couplings JSON: {field} must be finite"):
+        couplings_from_json(obj)

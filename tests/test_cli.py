@@ -84,6 +84,23 @@ def test_compute_missing_file_exits_2(capsys, tmp_path):
     assert cli.main(["compute", str(tmp_path / "absent.json"), str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # a declared n that the data do not have: nothing of size n x n is built
+        ({"n": 100000, "re": [[1.0]]}, '"re"/"im" must be 100000x100000 arrays, got (1, 1) and (1, 1)'),
+        ({"n": 2.9, "re": [[1, 2], [3, 4]]}, '"n" must be an integer, got 2.9'),
+    ],
+    ids=("n-beyond-the-data", "fractional-n"),
+)
+def test_compute_rejects_a_bad_declared_n(capsys, tmp_path, payload, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["compute", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"polydet: error: {message}\n"
+
+
 def test_expand_text(capsys):
     code, out = run_cli(capsys, "expand", "--n", "2")
     assert code == 0
@@ -275,6 +292,22 @@ def test_anomaly_malformed_input_exits_2(capsys, tmp_path):
     bad.write_text('{"n": 3}')
     couplings = str(REPO_ROOT / "configs" / "couplings.json")
     assert cli.main(["anomaly", str(bad), couplings]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("c3", [1, "inf"], "(1+infj)"), ("f0", "nan", "nan")],
+)
+def test_anomaly_rejects_non_finite_couplings(capsys, tmp_path, field, value, shown):
+    couplings = json.loads((REPO_ROOT / "configs" / "couplings.json").read_text())
+    couplings[field] = value
+    path = tmp_path / "couplings.json"
+    path.write_text(json.dumps(couplings))
+    fields = str(REPO_ROOT / "configs" / "fields_n3.json")
+    assert cli.main(["anomaly", fields, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polydet: error: invalid couplings JSON: {field} must be finite, got {shown}\n"
 
 
 def test_compute_out_file(capsys, tmp_path, two_files):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -13,72 +14,28 @@ from polydet.combinatorics import (
     count_distinct_terms,
     cycle_covers,
     enumerate_partition_vectors,
-    iterate_permutations,
     iterate_subsets,
-    levi_civita,
     multinomial,
+    permutation_sign,
 )
 
 
-def test_permutations_n1():
-    assert list(iterate_permutations(1)) == [((1,), 1)]
+def inversion_parity(seq):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
 
 
-def test_permutations_n3_parity_split():
-    perms = list(iterate_permutations(3))
-    assert len(perms) == 6
-    assert sum(1 for p in perms if p.sign == 1) == 3
-    assert sum(1 for p in perms if p.sign == -1) == 3
+def test_permutation_sign_matches_inversion_parity():
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            assert permutation_sign(perm) == inversion_parity(perm)
+    seq = (0.5, -1.5, 3.25)  # any distinct comparables: one inversion
+    assert permutation_sign(seq) == inversion_parity(seq) == -1
 
 
-def test_permutations_n4_signs_cancel():
-    perms = list(iterate_permutations(4))
-    assert len(perms) == 24
-    assert sum(p.sign for p in perms) == 0
-
-
-def test_permutations_lexicographic():
-    mappings = [p.mapping for p in iterate_permutations(3)]
-    assert mappings == sorted(mappings)
-    assert mappings[0] == (1, 2, 3)
-
-
-def test_permutations_guard():
-    with pytest.raises(GuardLimitError):
-        next(iterate_permutations(11))
-
-
-def test_permutation_sign_matches_levi_civita():
-    for n in range(1, 6):
-        for perm in iterate_permutations(n):
-            assert levi_civita(perm.mapping) == perm.sign
-
-
-def test_levi_civita_values():
-    assert levi_civita((1, 2, 3)) == 1
-    assert levi_civita((2, 1, 3)) == -1
-    assert levi_civita((1, 1, 2)) == 0
-
-
-def test_levi_civita_out_of_range():
-    with pytest.raises(ValueError):
-        levi_civita((0, 1, 2))
-    with pytest.raises(ValueError):
-        levi_civita((1, 2, 4))
-
-
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=6))
-def test_levi_civita_antisymmetry(indices):
-    n = len(indices)
-    if any(not 1 <= i <= n for i in indices):
-        with pytest.raises(ValueError):
-            levi_civita(indices)
-        return
-    value = levi_civita(indices)
-    if n >= 2:
-        swapped = list(indices)
-        swapped[0], swapped[1] = swapped[1], swapped[0]
-        assert levi_civita(swapped) == -value
+def test_cycle_covers_guard():
+    with pytest.raises(GuardLimitError, match="n <= 10, got 11"):
+        cycle_covers(11)
 
 
 def test_partition_vectors_n2():

@@ -182,6 +182,10 @@ def test_matrix_json_rejects_bad_payload():
         matrix_from_json({"n": 2, "re": [[1, 2]]})
     with pytest.raises(ValueError):
         matrix_from_json({"re": [[1]]})
+    with pytest.raises(ValueError, match='"n" must be an integer'):
+        matrix_from_json({"n": "2", "re": [[1, 2], [3, 4]]})
+    with pytest.raises(ValueError, match=r"must be 2x2 arrays, got \(2, 2\) and \(1, 2\)"):
+        matrix_from_json({"n": 2, "re": [[1, 2], [3, 4]], "im": [[1, 2]]})
 
 
 def test_load_matrix_file(tmp_path):

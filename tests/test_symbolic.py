@@ -18,6 +18,7 @@ from polydet.engines import polydet_subset_sum
 from polydet.matrices import det, random_matrix
 from polydet.symbolic import (
     TraceExpansion,
+    TraceMonomial,
     canonicalize,
     evaluate,
     expand_det_of_sum,
@@ -300,6 +301,31 @@ def test_expand_n6_json_is_pinned(labels, terms, digest):
     e = expand_polydet(6, labels)
     assert len(e.terms) == terms
     assert hashlib.sha256(render(e, "json").encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "labels, format, digest",
+    [
+        ("ABCDEF", "text", "ff7dbc25f1c403115d859e5efbb1c9d67c2c83e23eec6e7e52e22756731ac671"),
+        ("ABCDEF", "latex", "7d1fb65de6d08c55aaf9837b57c4311aef463580582aab34adbd475d1f695c64"),
+        ("AAABBC", "text", "a6db2b53d1937b8cff3bb514c4b30be9e9db86705a97537b324ac49a101ed7c4"),
+        ("AAABBC", "latex", "34a198b1a7ffac79631de4caba5cf5a3a23648c739d9a7fc11b6a302403bac4f"),
+    ],
+    ids=("ABCDEF-text", "ABCDEF-latex", "AAABBC-text", "AAABBC-latex"),
+)
+def test_expand_n6_text_and_latex_are_pinned(labels, format, digest):
+    """The full n = 6 text and LaTeX output, byte for byte, as separate
+    text and LaTeX render loops gave it."""
+    assert hashlib.sha256(render(expand_polydet(6, labels), format).encode()).hexdigest() == digest
+
+
+def test_render_signs_and_magnitudes():
+    negative_first = TraceExpansion(
+        1, (TraceMonomial(Fraction(-2), (("A",),)), TraceMonomial(Fraction(1), (("B",),)))
+    )
+    assert render(negative_first, "text") == "-2*Tr(A) + Tr(B)"
+    assert render(negative_first, "latex") == "-\\frac{2}{1}\\mathrm{Tr}(A) + \\mathrm{Tr}(B)"
+    assert render(TraceExpansion(2, ()), "text") == render(TraceExpansion(2, ()), "latex") == "0"
 
 
 def test_render_unknown_format():
