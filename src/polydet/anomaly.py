@@ -7,11 +7,12 @@ Tr(t^a t^b) = delta^{ab}/2 with t^0 = 1/sqrt(2 N_f); field matrices
 A_k = (1/sqrt(2)) sum_a (s_k^a + i p_k^a) t^a; metric signature (+,-,-,-).
 
 A step that needs many values of eps -- the 3-flavor eps table (165
-tuples), the field-expansion fit (one tuple per sample), the Lorentz
-contraction (16) and an invariance ratio (2) -- validates its tuples once
-and takes them from one ``polydet_many`` batch.  Lorentz-indexed families
-are stacked into one array and transformed or metric-converted by one
-``einsum``.
+tuples), the field-expansion fit (one tuple per sample) and the Lorentz
+contraction (16) -- validates its tuples once and takes them from one
+``polydet_many`` batch.  An invariance ratio validates its tuple and both
+factors once and hands its two-row batch straight to the default kernel.
+Lorentz-indexed families are stacked into one array and transformed or
+metric-converted by one ``einsum``.
 
 The vertex expansion is array work over integer field codes: each
 structure's slot choices are one gather from the 3-flavor eps table, equal
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engines import polydet, polydet_many
+from .engines import DEFAULT_ENGINE, _kernel, polydet, polydet_many
 from .matrices import as_matrix, det, identity, validate_matrix_tuple
 
 __all__ = [
@@ -149,25 +150,30 @@ def project_field_matrix(basis: GeneratorBasis, m) -> tuple[np.ndarray, np.ndarr
     return coeffs.real.copy(), coeffs.imag.copy()
 
 
-def _require_unitary(u: np.ndarray, name: str) -> None:
-    dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"{name} is not unitary (max deviation {dev:.3e})")
+def _unitaries(u_left, u_right, n: int) -> np.ndarray:
+    """Both chiral factors as one (2, n, n) stack, ``[u_left, u_right]``.
 
-
-def _unitaries(u_left, u_right) -> tuple[np.ndarray, np.ndarray]:
-    """Both chiral factors coerced to matrices, each checked to be unitary."""
-    u_left = as_matrix(u_left, name="u_left")
-    u_right = as_matrix(u_right, name="u_right")
-    _require_unitary(u_left, "u_left")
-    _require_unitary(u_right, "u_right")
-    return u_left, u_right
+    Each factor must be a finite n x n matrix; both are checked unitary by
+    one stacked product.  An error names the factor, u_left first.
+    """
+    names = ("u_left", "u_right")
+    factors = np.empty((2, n, n), dtype=np.complex128)
+    for i, (name, u) in enumerate(zip(names, (u_left, u_right))):
+        u = as_matrix(u, name=name)
+        if u.shape != (n, n):
+            raise ValueError(f"{name} must be {n} x {n} to act on {n} x {n} matrices, got shape {u.shape}")
+        factors[i] = u
+    devs = np.abs(factors @ factors.conj().transpose(0, 2, 1) - np.eye(n)).max(axis=(1, 2))
+    for name, dev in zip(names, devs.tolist()):
+        if dev > UNITARY_TOL:
+            raise ValueError(f"{name} is not unitary (max deviation {dev:.3e})")
+    return factors
 
 
 def chiral_transform(a, u_left, u_right) -> np.ndarray:
     """A -> U_L A U_R^dagger with unitarity enforced on both factors."""
     a = as_matrix(a)
-    u_left, u_right = _unitaries(u_left, u_right)
+    u_left, u_right = _unitaries(u_left, u_right, a.shape[0])
     return u_left @ a @ u_right.conj().T
 
 
@@ -197,16 +203,21 @@ def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
     |base| <= 1e-12 * m^N, with m the largest entry modulus of the N
     arguments: the value is N-linear, so the floor scales with the tuple
     and an all-zero tuple always raises.  The tuple and both factors are
-    validated once, the whole tuple is transformed by one broadcast
-    product, and both values come from one two-row batch.
+    validated once and both factors checked unitary by one stacked
+    product; the whole tuple is transformed by one broadcast product, both
+    values come from one two-row batch handed straight to the default
+    kernel, and both factor determinants from one ``det`` of the factors.
     """
     n, stack = validate_matrix_tuple(mats)
-    u_left, u_right = _unitaries(u_left, u_right)
-    base, moved = polydet_many([stack, u_left @ stack @ u_right.conj().T]).tolist()
+    factors = _unitaries(u_left, u_right, n)
+    u_left, u_right = factors
+    batch = np.array([stack, u_left @ stack @ u_right.conj().T])
+    base, moved = _kernel(DEFAULT_ENGINE, n)(batch).tolist()
     if abs(base) <= 1e-12 * float(np.abs(stack).max()) ** n:
         raise IndeterminateRatioError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
     ratio = moved / base
-    special = abs(det(u_left) - 1) < 1e-9 and abs(det(u_right) - 1) < 1e-9
+    det_left, det_right = det(factors).tolist()
+    special = abs(det_left - 1) < 1e-9 and abs(det_right - 1) < 1e-9
     return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))
 
 
@@ -557,14 +568,24 @@ def enumerate_vertices(couplings: Couplings, tol: float = 1e-10) -> list[tuple[t
 
 
 def field_config_from_json(obj) -> FieldConfiguration:
-    """Parse {"n": 3, "multiplets": [{"s": [...], "p": [...]}, ...]}."""
+    """Parse {"n": 3, "multiplets": [{"s": [...], "p": [...]}, ...]}.
+
+    "n" is an integer from 2 to 5, the range of the generator bases; each
+    multiplet is an object whose omitted "s" or "p" defaults to zeros.
+    """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "multiplets" not in obj:
         raise ValueError('field configuration JSON needs "n" and "multiplets"')
-    n = int(obj["n"])
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= 5:
+        raise ValueError(f'"n" must be an integer from 2 to 5, got {n!r}')
+    if not isinstance(obj["multiplets"], list):
+        raise ValueError(f'"multiplets" must be a list, got {type(obj["multiplets"]).__name__}')
     multiplets = []
     for i, entry in enumerate(obj["multiplets"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"multiplet {i} must be an object, got {type(entry).__name__}")
         s = np.asarray(entry.get("s", [0.0] * n * n), dtype=float)
         p = np.asarray(entry.get("p", [0.0] * n * n), dtype=float)
         if s.shape != (n * n,) or p.shape != (n * n,):

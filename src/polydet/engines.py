@@ -57,7 +57,10 @@ from .combinatorics import (
     multinomial,
     permutation_sign,
 )
-from .matrices import as_stack, det, trace_sum_plan, validate_matrix_tuple
+# the kernels call their determinants through the module name ``det``, bound to
+# the trusted stack kernel: stacks made here are already validated
+from .matrices import as_stack, trace_sum_plan, validate_matrix_tuple
+from .matrices import det_stack as det
 
 __all__ = [
     "PolydetResult",
@@ -123,6 +126,32 @@ def _permutation_pair_value(mats: Sequence[np.ndarray]) -> complex:
     return acc / math.factorial(n)
 
 
+@lru_cache(maxsize=64)
+def _subset_tables(n: int, k: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The sign tables of the subset-sum kernel for N = n with k free table bits.
+
+    Returns (table, high).  Row s of the (2^k, n) table is the sign vector
+    delta with delta_(1+i) = -1 for each bit i set in s and +1 in every
+    other slot.  ``high`` has one entry for each subset of the other
+    n - 1 - k free arguments: their indices in the tuple, and the (2^k,)
+    vector of prod(delta) over the table rows with those arguments' signs
+    flipped too.
+    """
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    table = np.ones((1 << k, n))
+    table[:, 1 : k + 1] -= 2 * bits
+    signs = table.prod(axis=1)
+    flipped = -signs
+    # the cached arrays are shared by every later call
+    table.flags.writeable = signs.flags.writeable = flipped.flags.writeable = False
+    rest = np.arange(n - 1 - k)
+    high = []
+    for mask in range(1 << len(rest)):
+        picked = np.flatnonzero(mask >> rest & 1)
+        high.append((k + 1 + picked, flipped if len(picked) % 2 else signs))
+    return table, high
+
+
 def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
     """Inclusion-exclusion over the +-1 sign vectors with the first sign fixed.
 
@@ -140,20 +169,18 @@ def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
     arguments of very different size cancel as accurately as unit-scale
     ones; an all-zero argument keeps norm 0 in the product, so its tuple
     gives exactly 0.  The first k = min(N - 1, 8) free arguments give a
-    table of 2^k sign combinations, built from T by doubling with one
-    broadcast subtract of 2 U_i per argument.  Each subset of the other
-    N - 1 - k subtracts twice its sum from the whole table.  The batch is
-    cut into slices of 2^(8 - k) tuples, so every stacked ``det`` call takes
-    at most 2^8 matrices and memory is a few 2^8-matrix arrays at every n
-    and B.  Every operation acts on each tuple alone, so a tuple's value
-    does not depend on the rest of its batch.
+    table of 2^k sign combinations, sum_j delta_j U_j, made by one real
+    ``matmul`` of the cached (2^k, N) sign table with the arguments' real
+    and imaginary parts.  Each subset of the other N - 1 - k subtracts
+    twice its sum from the whole table.  The batch is cut into slices of
+    2^(8 - k) tuples, so every stacked ``det`` call takes at most 2^8
+    matrices and memory is a few 2^8-matrix arrays at every n and B.
+    Every operation acts on each tuple alone, so a tuple's value does not
+    depend on the rest of its batch.
     """
     b, n = batch.shape[:2]
     k = min(n - 1, _SUBSET_LOW_BITS)
-    # signs[s] = (-1)^|s| for the table row whose free arguments are the bits of s
-    signs = np.ones(1 << k)
-    for i in range(k):
-        signs[1 << i : 2 << i] = -signs[: 1 << i]
+    table, high_masks = _subset_tables(n, k)
     per_slice = (1 << _SUBSET_LOW_BITS) >> k
     out = np.empty(b, dtype=np.complex128)
     for start in range(0, b, per_slice):
@@ -162,19 +189,13 @@ def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
         norms = np.abs(part).max(axis=(2, 3))
         # an all-zero argument is divided by 1 and keeps its norm 0 in the product
         unit = part / (norms if norms.all() else np.where(norms == 0.0, 1.0, norms))[:, :, None, None]
-        twice = 2.0 * unit[:, 1:]
-        # low[:, s] = T - 2 (sum of the free arguments whose bits are set in s)
-        low = np.empty((rows, 1 << k, n, n), dtype=np.complex128)
-        unit.sum(axis=1, out=low[:, 0])
-        for i in range(k):
-            np.subtract(low[:, : 1 << i], twice[:, i, None], out=low[:, 1 << i : 2 << i])
-        high = twice[:, k:]
+        # low[:, s] = sum_j table[s, j] U_j, on the (re, im) pairs of the entries
+        low = (table @ unit.view(np.float64).reshape(rows, n, 2 * n * n)).view(np.complex128)
+        low = low.reshape(rows, 1 << k, n, n)
         acc = 0.0
-        for mask in range(1 << (n - 1 - k)):
-            picked = [j for j in range(n - 1 - k) if mask >> j & 1]
-            chunk = low - high[:, picked].sum(axis=1)[:, None] if picked else low
-            term = (signs * det(chunk.reshape(-1, n, n)).reshape(rows, 1 << k)).sum(axis=1)
-            acc = acc - term if len(picked) % 2 else acc + term
+        for picked, signs in high_masks:
+            chunk = low - 2.0 * unit[:, picked].sum(axis=1)[:, None] if len(picked) else low
+            acc += (signs * det(chunk.reshape(-1, n, n)).reshape(rows, 1 << k)).sum(axis=1)
         out[start : start + rows] = acc * norms.prod(axis=1)
     # a true division of every real and imaginary part; a complex division by a
     # real number would multiply by its reciprocal, one more rounding

@@ -2,12 +2,13 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128 with shape
 (n, n).  :func:`det` also takes a (B, n, n) stack and returns B values in
-one call, which is how the subset-sum engine evaluates its determinants
-chunk by chunk.  :func:`trace_sum_plan` compiles a weighted sum of products
-of word traces once, to be evaluated on any stack in stacked products; the
-trace-formula engine and the symbolic layer share it.  All functions are
-pure; nothing here holds global state apart from the per-call PRNG created
-by :func:`random_matrix`.
+one call.  It validates its argument and runs :func:`det_stack`, the
+trusted kernel that the engines and :func:`inverse` call on stacks they
+have already made or checked.  :func:`trace_sum_plan` compiles a weighted
+sum of products of word traces once, to be evaluated on any stack in
+stacked products; the trace-formula engine and the symbolic layer share
+it.  All functions are pure; nothing here holds global state apart from
+the per-call PRNG created by :func:`random_matrix`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "validate_matrix_tuple",
     "trace_sum_plan",
     "det",
+    "det_stack",
     "trace",
     "dagger",
     "inverse",
@@ -165,19 +167,27 @@ def _det_cofactor(a: np.ndarray) -> np.ndarray:
     return (a[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
 
 
+def det_stack(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a trusted (B, n, n) complex128 stack, as B values.
+
+    Nothing is checked: the caller passes a finite stack of square matrices
+    that it made or validated.  The closed-form cofactor expansion for
+    n <= 3, LU factorization with partial pivoting (LAPACK) for n >= 4.
+    """
+    return _det_cofactor(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
+
+
 def det(m):
     """Determinant of a complex square matrix, or of every matrix in a stack.
 
     An (n, n) matrix gives a complex; a (B, n, n) stack gives a (B,)
-    complex128 array.  Both run the same code, a matrix as a stack of one:
-    the closed-form cofactor expansion for n <= 3, LU factorization with
-    partial pivoting (LAPACK) for n >= 4.
+    complex128 array.  The argument is validated, then both run
+    :func:`det_stack`, a matrix as a stack of one.
     """
     a = np.asarray(m, dtype=np.complex128)
-    single = a.ndim != 3
-    stack = _as_square(a, "matrix", 2)[None] if single else _as_square(a, "matrix stack", 3)
-    d = _det_cofactor(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
-    return complex(d[0]) if single else d
+    if a.ndim != 3:
+        return complex(det_stack(_as_square(a, "matrix", 2)[None])[0])
+    return det_stack(_as_square(a, "matrix stack", 3))
 
 
 def trace(m) -> complex:
@@ -204,7 +214,7 @@ def inverse(m) -> np.ndarray:
     a = as_matrix(m)
     n = a.shape[0]
     row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    d = det(a)
+    d = det_stack(a[None])[0]
     if abs(d) <= ABS_TOL * row_norm**n:
         raise SingularMatrixError(f"matrix is numerically singular (|det|={abs(d):.3e})")
     return np.linalg.inv(a)

@@ -2,12 +2,14 @@ import cmath
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polydet.anomaly as anomaly_module
+import polydet.engines as engines_module
 from polydet.anomaly import (
     METRIC,
     Couplings,
@@ -194,13 +196,80 @@ def test_check_invariance_vector_phase_is_trivial():
     assert abs(report.ratio - 1) < 1e-9
 
 
-def test_check_invariance_checks_each_unitary_once(monkeypatch):
-    checked = []
-    require = anomaly_module._require_unitary
-    monkeypatch.setattr(anomaly_module, "_require_unitary", lambda u, name: checked.append(name) or require(u, name))
+def test_check_invariance_checks_the_factors_once_per_call(monkeypatch):
+    # each factor is coerced once and both go through one unitarity check
+    coerced, checks = [], []
+    as_matrix, unitaries = anomaly_module.as_matrix, anomaly_module._unitaries
+    monkeypatch.setattr(anomaly_module, "as_matrix", lambda m, name: coerced.append(name) or as_matrix(m, name=name))
+    monkeypatch.setattr(anomaly_module, "_unitaries", lambda *args: checks.append(args) or unitaries(*args))
     mats = [random_matrix(3, 55), random_matrix(3, 56), random_matrix(3, 57)]
     check_invariance(mats, random_matrix(3, 58, "unitary"), random_matrix(3, 59, "unitary"))
-    assert checked == ["u_left", "u_right"]
+    assert coerced == ["u_left", "u_right"]
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("bad", ("u_left", "u_right"))
+@pytest.mark.parametrize("check", ("check_invariance", "chiral_transform"))
+def test_a_non_unitary_factor_is_named(bad, check):
+    mats = [random_matrix(3, k) for k in (61, 62, 63)]
+    factors = {"u_left": random_matrix(3, 64, "unitary"), "u_right": random_matrix(3, 65, "unitary")}
+    factors[bad] = factors[bad] * 1.01
+    run = (lambda: check_invariance(mats, **factors)) if check == "check_invariance" else (
+        lambda: chiral_transform(mats[0], **factors)
+    )
+    with pytest.raises(ValueError, match=f"^{bad} is not unitary") as info:
+        run()
+    assert not isinstance(info.value, IndeterminateRatioError)
+
+
+def test_when_both_factors_are_bad_u_left_is_named():
+    mats = [random_matrix(3, k) for k in (66, 67, 68)]
+    with pytest.raises(ValueError, match="^u_left is not unitary"):
+        check_invariance(mats, 2 * identity(3), 3 * identity(3))
+    with pytest.raises(ValueError, match="^u_left must be 3 x 3"):
+        check_invariance(mats, identity(2), identity(4))
+
+
+@pytest.mark.parametrize("bad", ("u_left", "u_right"))
+def test_a_factor_of_the_wrong_size_is_named(bad):
+    # a 2 x 2 factor on 3 x 3 arguments is rejected by name before any product
+    mats = [random_matrix(3, k) for k in (71, 72, 73)]
+    factors = {"u_left": identity(3), "u_right": identity(3)}
+    factors[bad] = identity(2)
+    message = f"^{bad} must be 3 x 3 to act on 3 x 3 matrices, got shape \\(2, 2\\)$"
+    with pytest.raises(ValueError, match=message):
+        check_invariance(mats, **factors)
+    with pytest.raises(ValueError, match=message):
+        chiral_transform(mats[0], **factors)
+
+
+def counting(calls, fn):
+    def counted(m, *args, **kwargs):
+        calls.append(len(m))
+        return fn(m, *args, **kwargs)
+
+    return counted
+
+
+def test_check_invariance_per_call_work(monkeypatch):
+    # the tuple is validated once; one stacked kernel determinant serves both
+    # tuples (2 x 2^(3-1) matrices) and one public det both factors; a single
+    # polydet call validates its tuple and takes 2^(3-1) determinants
+    kernel, public, validated, revalidated = [], [], [], []
+    monkeypatch.setattr(engines_module, "det", counting(kernel, engines_module.det))
+    monkeypatch.setattr(anomaly_module, "det", counting(public, anomaly_module.det))
+    monkeypatch.setattr(
+        anomaly_module, "validate_matrix_tuple", counting(validated, anomaly_module.validate_matrix_tuple)
+    )
+    monkeypatch.setattr(
+        engines_module, "validate_matrix_tuple", counting(revalidated, engines_module.validate_matrix_tuple)
+    )
+    mats = [random_matrix(3, k) for k in (74, 75, 76)]
+    check_invariance(mats, random_matrix(3, 77, "special-unitary"), random_matrix(3, 78, "unitary"))
+    assert (kernel, public, validated, revalidated) == ([8], [2], [3], [])
+    kernel.clear()
+    polydet(mats)
+    assert (kernel, revalidated) == ([4], [3])
 
 
 def test_check_invariance_general_unitary_dets():
@@ -671,6 +740,30 @@ def test_field_config_parsing():
 def test_field_config_rejects_bad_lengths():
     with pytest.raises(ValueError):
         field_config_from_json({"n": 3, "multiplets": [{"s": [1, 2], "p": [3, 4]}]})
+
+
+@pytest.mark.parametrize("n", (3.7, 3.0, "3", True, None, 1, 6, 3000))
+def test_field_config_rejects_a_bad_n(n):
+    # nothing is allocated from a declared n outside the generator range 2..5
+    with pytest.raises(ValueError, match=f'^"n" must be an integer from 2 to 5, got {re.escape(repr(n))}$'):
+        field_config_from_json({"n": n, "multiplets": [{}]})
+
+
+@pytest.mark.parametrize("entry, kind", (([0.0] * 9, "list"), ("s", "str"), (None, "NoneType")))
+def test_field_config_rejects_a_multiplet_that_is_not_an_object(entry, kind):
+    with pytest.raises(ValueError, match=f"^multiplet 1 must be an object, got {kind}$"):
+        field_config_from_json({"n": 3, "multiplets": [{}, entry]})
+
+
+def test_field_config_rejects_multiplets_that_are_not_a_list():
+    with pytest.raises(ValueError, match='^"multiplets" must be a list, got dict$'):
+        field_config_from_json({"n": 3, "multiplets": {"s": [0.0] * 9}})
+
+
+def test_field_config_defaults_omitted_components_to_zeros():
+    cfg = field_config_from_json({"n": 2, "multiplets": [{}, {"p": [0, 1, 0, 0]}]})
+    assert cfg.multiplets[0].s.tolist() == [0.0] * 4 and cfg.multiplets[0].p.tolist() == [0.0] * 4
+    assert cfg.multiplets[1].p.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_couplings_parsing():

@@ -295,6 +295,23 @@ def test_anomaly_malformed_input_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 3.7, "multiplets": [{}, {}]}, '"n" must be an integer from 2 to 5, got 3.7'),
+        ({"n": 3000, "multiplets": [{}, {}]}, '"n" must be an integer from 2 to 5, got 3000'),
+        ({"n": 3, "multiplets": [{}, 7]}, "multiplet 1 must be an object, got int"),
+    ],
+    ids=("fractional-n", "n-beyond-the-generators", "non-object-multiplet"),
+)
+def test_anomaly_rejects_a_bad_field_configuration(capsys, tmp_path, fields, message):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(fields))
+    couplings = str(REPO_ROOT / "configs" / "couplings.json")
+    assert cli.main(["anomaly", str(path), couplings]) == 2
+    assert capsys.readouterr().err == f"polydet: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "field, value, shown",
     [("c3", [1, "inf"], "(1+infj)"), ("f0", "nan", "nan")],
 )
