@@ -571,7 +571,7 @@ def field_config_from_json(obj) -> FieldConfiguration:
     """Parse {"n": 3, "multiplets": [{"s": [...], "p": [...]}, ...]}.
 
     "n" is an integer from 2 to 5, the range of the generator bases; each
-    multiplet is an object whose omitted "s" or "p" defaults to zeros.
+    multiplet is an object of "s" and "p" only, and an omitted one is zeros.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
@@ -586,6 +586,8 @@ def field_config_from_json(obj) -> FieldConfiguration:
     for i, entry in enumerate(obj["multiplets"]):
         if not isinstance(entry, dict):
             raise ValueError(f"multiplet {i} must be an object, got {type(entry).__name__}")
+        if unknown := [key for key in entry if key not in ("s", "p")]:
+            raise ValueError(f'multiplet {i} has unknown key {unknown[0]!r}; expected "s" or "p"')
         s = np.asarray(entry.get("s", [0.0] * n * n), dtype=float)
         p = np.asarray(entry.get("p", [0.0] * n * n), dtype=float)
         if s.shape != (n * n,) or p.shape != (n * n,):

@@ -5,12 +5,14 @@ is the symmetric N-linear function that collapses to det(A) when all
 arguments coincide.  The engines compute it by these routes:
 
     naive             the full index contraction against the dense N^N
-                      Levi-Civita tensor eps:
+                      Levi-Civita tensor eps of the signed permutations:
                       (1/N!) sum_{i,j} eps(i) eps(j) prod_k A_k[i_k, j_k],
                       as N matrix products, each contracting one row index
                       of eps with A_k, then one dot with eps over the columns
     permutation_pair  double sum over permutation pairs (sigma, mu):
-                      (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)]
+                      (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)],
+                      as volume's sum with Leibniz determinants (the mu-sums),
+                      32 sigma at a time
     subset_sum        inclusion-exclusion over +-1 sign vectors delta
                       with delta_1 = +1 fixed (the pair delta, -delta gives
                       equal terms), 2^(N-1) determinants:
@@ -24,8 +26,9 @@ arguments coincide.  The engines compute it by these routes:
                       cycle prefixes of each length in one stacked matmul,
                       the traces of the cycles of each length in one
                       einsum, and the N! signed products in one gather
-    volume            signed average of N! row-mixed oriented volumes:
-                      (1/N!) sum_sigma sgn(sigma) det(slot i holds row sigma(i) of A_i)
+    volume            signed average of N! row-mixed oriented volumes, by LU:
+                      (1/N!) sum_sigma sgn(sigma) det(M_sigma), 256 sigma at
+                      a time, where row i of M_sigma is row sigma(i) of A_i
 
 Agreement of all five on random tuples is the package's core cross-check.
 One table maps each engine name to its kernel and its guard (the largest N
@@ -55,11 +58,10 @@ from .combinatorics import (
     cycle_covers,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
-    permutation_sign,
 )
 # the kernels call their determinants through the module name ``det``, bound to
 # the trusted stack kernel: stacks made here are already validated
-from .matrices import as_stack, trace_sum_plan, validate_matrix_tuple
+from .matrices import as_stack, det_leibniz, signed_permutations, trace_sum_plan, validate_matrix_tuple
 from .matrices import det_stack as det
 
 __all__ = [
@@ -76,8 +78,11 @@ __all__ = [
     "DEFAULT_ENGINE",
 ]
 
-# elements per temporary block in the vectorized permutation-pair product
-_CHUNK_ELEMENTS = 1 << 22
+# sigma per chunk of the row-mixed sums.  A Leibniz chunk gathers 32 N! N entries
+# (18 MB at N = 7), and numpy loops over the chunk innermost, so fewer are slower;
+# 256 LU determinants a call amortize LAPACK's per-call cost
+_LEIBNIZ_CHUNK = 32
+_LU_CHUNK = 256
 # subset_sum: free signs in the sign-combination table, so one chunk is 2^8 matrices
 _SUBSET_LOW_BITS = 8
 
@@ -89,17 +94,9 @@ class PolydetResult:
     n: int
 
 
-@lru_cache(maxsize=16)
-def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based permutations of range(n) in lexicographic order, with signs."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    signs = np.array([permutation_sign(p) for p in perms], dtype=np.float64)
-    return perms, signs
-
-
 def _naive_value(stack: np.ndarray) -> complex:
     n = stack.shape[0]
-    perms, signs = _perm_table(n)
+    _, perms, signs = signed_permutations(n)
     eps = np.zeros((n,) * n)
     eps[tuple(perms.T)] = signs
     # each step is one matrix product: it contracts the leading row index i_k
@@ -111,19 +108,20 @@ def _naive_value(stack: np.ndarray) -> complex:
     return complex(np.vdot(eps, t)) / math.factorial(n)
 
 
-def _permutation_pair_value(mats: Sequence[np.ndarray]) -> complex:
-    n = len(mats)
-    perms, signs = _perm_table(n)
-    m = perms.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // m)
-    acc = 0.0 + 0.0j
-    for start in range(0, m, chunk):
-        rows = perms[start : start + chunk]
-        block = mats[0][rows[:, 0][:, None], perms[None, :, 0]].copy()
-        for k in range(1, n):
-            block *= mats[k][rows[:, k][:, None], perms[None, :, k]]
-        acc += signs[start : start + chunk] @ block @ signs
-    return acc / math.factorial(n)
+def _row_mixed_sum(stack: np.ndarray, det_of: Callable[[np.ndarray], np.ndarray], chunk: int) -> complex:
+    """(1/N!) sum_sigma sgn(sigma) det_of(M_sigma), ``chunk`` sigma at a time.
+
+    Row k of the row-mixed matrix M_sigma is row sigma(k) of A_k; the Leibniz
+    sum over mu of det(M_sigma) makes this the permutation-pair sum.
+    """
+    n = stack.shape[0]
+    rows, perms, signs = signed_permutations(n)
+    total = 0.0 + 0.0j
+    for start in range(0, len(perms), chunk):
+        part = slice(start, start + chunk)
+        # stack[k, r, :] is row r of A_k
+        total += signs[part] @ det_of(stack[rows, perms[part]])
+    return complex(total) / math.factorial(n)
 
 
 @lru_cache(maxsize=64)
@@ -215,15 +213,6 @@ def _trace_formula_value(stack: np.ndarray) -> complex:
     return _cycle_plan(n)(stack) / math.factorial(n)
 
 
-def _volume_value(stack: np.ndarray) -> complex:
-    n = stack.shape[0]
-    perms, signs = _perm_table(n)
-    # slot i of the mixed matrix holds row sigma(i) of A_i (stack[k, r, :] = row r of A_k)
-    mixed = stack[np.arange(n)[None, :], perms, :]
-    dets = np.linalg.det(mixed)
-    return complex(signs @ dets) / math.factorial(n)
-
-
 def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.ndarray]:
     """The batch kernel that runs a one-tuple kernel on each row of a batch."""
     return lambda batch: np.array([kernel(stack) for stack in batch], dtype=np.complex128)
@@ -232,10 +221,10 @@ def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.
 #: engine name -> (kernel from a validated (B, N, N, N) batch to B values, largest accepted N)
 _TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
     "naive": (_rows(_naive_value), 6),
-    "permutation_pair": (_rows(_permutation_pair_value), 7),
+    "permutation_pair": (_rows(lambda stack: _row_mixed_sum(stack, det_leibniz, _LEIBNIZ_CHUNK)), 7),
     "subset_sum": (_subset_sum_values, SUBSET_MAX_N),
     "trace_formula": (_rows(_trace_formula_value), 7),
-    "volume": (_rows(_volume_value), 8),
+    "volume": (_rows(lambda stack: _row_mixed_sum(stack, np.linalg.det, _LU_CHUNK)), 8),
 }
 
 DEFAULT_ENGINE = "subset_sum"

@@ -4,20 +4,24 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128 with shape
 (n, n).  :func:`det` also takes a (B, n, n) stack and returns B values in
 one call.  It validates its argument and runs :func:`det_stack`, the
 trusted kernel that the engines and :func:`inverse` call on stacks they
-have already made or checked.  :func:`trace_sum_plan` compiles a weighted
-sum of products of word traces once, to be evaluated on any stack in
-stacked products; the trace-formula engine and the symbolic layer share
-it.  All functions are pure; nothing here holds global state apart from
-the per-call PRNG created by :func:`random_matrix`.
+have already made or checked: :func:`det_leibniz` for n <= 3, over the one
+cached table :func:`signed_permutations`, and LAPACK LU above.
+:func:`trace_sum_plan` compiles a weighted sum of products of word traces
+once, to be evaluated on any stack in stacked products; the trace-formula
+engine and the symbolic layer share it.  All functions are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import defaultdict
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .combinatorics import permutation_sign
 
 __all__ = [
     "SingularMatrixError",
@@ -27,6 +31,8 @@ __all__ = [
     "trace_sum_plan",
     "det",
     "det_stack",
+    "det_leibniz",
+    "signed_permutations",
     "trace",
     "dagger",
     "inverse",
@@ -144,37 +150,35 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
     return value
 
 
-#: (rows, permutations, signs) of the closed-form expansion for n = 1, 2, 3
-_CLOSED_FORM = {
-    n: (np.arange(n), np.array(perms), np.array(signs))
-    for n, perms, signs in (
-        (1, [[0]], [1.0]),
-        (2, [[0, 1], [1, 0]], [1.0, -1.0]),
-        (3, [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]],
-         [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]),
-    )
-}
+@lru_cache(maxsize=16)
+def signed_permutations(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(arange(n), the (n!, n) permutations of range(n) in lexicographic
+    order, their (n!,) float signs); cached and read-only, as callers share them."""
+    perms = list(itertools.permutations(range(n)))
+    table = np.arange(n), np.array(perms), np.array([permutation_sign(p) for p in perms], dtype=np.float64)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
-def _det_cofactor(a: np.ndarray) -> np.ndarray:
-    """Closed-form determinants of a (B, n, n) stack, n <= 3.
+def det_leibniz(stack: np.ndarray) -> np.ndarray:
+    """Leibniz determinants of a trusted (B, n, n) stack, as B values.
 
-    The n! signed products sum_sigma sgn(sigma) prod_i a[i, sigma(i)] (the
-    rule of Sarrus at n = 3), gathered by one index; exact on small-integer
-    entries.
+    sum_sigma sgn(sigma) prod_i a[i, sigma(i)] over :func:`signed_permutations`,
+    gathered by one index of B * n! * n entries; exact on small integers.
     """
-    rows, perms, signs = _CLOSED_FORM[a.shape[-1]]
-    return (a[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
+    rows, perms, signs = signed_permutations(stack.shape[-1])
+    return (stack[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
 
 
 def det_stack(stack: np.ndarray) -> np.ndarray:
     """Determinants of a trusted (B, n, n) complex128 stack, as B values.
 
     Nothing is checked: the caller passes a finite stack of square matrices
-    that it made or validated.  The closed-form cofactor expansion for
-    n <= 3, LU factorization with partial pivoting (LAPACK) for n >= 4.
+    that it made or validated.  :func:`det_leibniz` for n <= 3, LU
+    factorization with partial pivoting (LAPACK) for n >= 4.
     """
-    return _det_cofactor(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
+    return det_leibniz(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
 
 
 def det(m):

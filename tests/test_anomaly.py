@@ -760,6 +760,16 @@ def test_field_config_rejects_multiplets_that_are_not_a_list():
         field_config_from_json({"n": 3, "multiplets": {"s": [0.0] * 9}})
 
 
+@pytest.mark.parametrize(
+    "entry, key",
+    (({"S": [1.0] * 9, "P": [2.0] * 9}, "S"), ({"s": [0.0] * 9, "pseudo": [0.0] * 9}, "pseudo"), ({0: []}, 0)),
+)
+def test_field_config_rejects_an_unknown_multiplet_key(entry, key):
+    # a misspelt component would otherwise read as zeros
+    with pytest.raises(ValueError, match=f'^multiplet 1 has unknown key {re.escape(repr(key))}; expected "s" or "p"$'):
+        field_config_from_json({"n": 3, "multiplets": [{}, entry]})
+
+
 def test_field_config_defaults_omitted_components_to_zeros():
     cfg = field_config_from_json({"n": 2, "multiplets": [{}, {"p": [0, 1, 0, 0]}]})
     assert cfg.multiplets[0].s.tolist() == [0.0] * 4 and cfg.multiplets[0].p.tolist() == [0.0] * 4

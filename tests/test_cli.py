@@ -300,8 +300,12 @@ def test_anomaly_malformed_input_exits_2(capsys, tmp_path):
         ({"n": 3.7, "multiplets": [{}, {}]}, '"n" must be an integer from 2 to 5, got 3.7'),
         ({"n": 3000, "multiplets": [{}, {}]}, '"n" must be an integer from 2 to 5, got 3000'),
         ({"n": 3, "multiplets": [{}, 7]}, "multiplet 1 must be an object, got int"),
+        (
+            {"n": 3, "multiplets": [{"S": [1.0] * 9, "P": [2.0] * 9}, {}]},
+            "multiplet 0 has unknown key 'S'; expected \"s\" or \"p\"",
+        ),
     ],
-    ids=("fractional-n", "n-beyond-the-generators", "non-object-multiplet"),
+    ids=("fractional-n", "n-beyond-the-generators", "non-object-multiplet", "misspelt-component-key"),
 )
 def test_anomaly_rejects_a_bad_field_configuration(capsys, tmp_path, fields, message):
     path = tmp_path / "fields.json"

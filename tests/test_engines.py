@@ -167,6 +167,43 @@ def test_volume_agrees_at_n8():
     assert_close(polydet_volume(mats).value, polydet_subset_sum(mats).value)
 
 
+@pytest.mark.parametrize("name, constant", (("permutation_pair", "_LEIBNIZ_CHUNK"), ("volume", "_LU_CHUNK")))
+@pytest.mark.parametrize("n", (4, 5))
+def test_row_mixed_sum_does_not_depend_on_its_chunks(monkeypatch, name, constant, n):
+    # one, seven and all of the n! permutations sigma per chunk; on Gaussian
+    # integers every Leibniz sum is exact, so the chunks may only change the order
+    rng = np.random.default_rng([3400, n])
+    mats = rng.integers(-3, 4, (n, n, n)) + 1j * rng.integers(-3, 4, (n, n, n))
+    values = set()
+    for chunk in (1, 7, math.factorial(n)):
+        monkeypatch.setattr(engines_module, constant, chunk)
+        values.add(ENGINES[name](mats).value)
+    if name == "permutation_pair":
+        assert values == {exact_scaled_eps(mats) / math.factorial(n)}
+    else:  # LU rounds, so its chunked sums agree to rounding
+        assert max(abs(v - w) for v in values for w in values) <= 1e-13 * max(map(abs, values))
+
+
+def test_row_mixed_engines_take_their_own_determinants(monkeypatch):
+    # Leibniz sums 32 sigma at a time for permutation_pair, LAPACK's LU 256 at
+    # a time for volume, and neither through the module's ``det``, which counts
+    # the default kernel's determinants
+    seen = []
+
+    def spy(name, fn):
+        return lambda stack: seen.append((name, len(stack))) or fn(stack)
+
+    monkeypatch.setattr(engines_module, "det", spy("det", engines_module.det))
+    monkeypatch.setattr(engines_module, "det_leibniz", spy("leibniz", engines_module.det_leibniz))
+    monkeypatch.setattr(np.linalg, "det", spy("lu", np.linalg.det))
+    mats = rand_tuple(6, 5500)
+    pair = polydet_permutation_pair(mats).value
+    assert seen == [("leibniz", 32)] * 22 + [("leibniz", 16)]
+    seen.clear()
+    assert_close(polydet_volume(mats).value, pair)
+    assert seen == [("lu", 256)] * 2 + [("lu", 208)]
+
+
 # --- dispatcher and guards ---------------------------------------------------
 
 

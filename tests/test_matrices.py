@@ -1,19 +1,23 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from polydet.combinatorics import permutation_sign
 from polydet.matrices import (
     SingularMatrixError,
     as_matrix,
     dagger,
     det,
+    det_leibniz,
     identity,
     inverse,
     load_matrix_file,
     matrix_from_json,
     matrix_to_json,
     random_matrix,
+    signed_permutations,
     trace,
     trace_sum_plan,
     validate_matrix_tuple,
@@ -50,6 +54,41 @@ def test_det_of_stack_methods_and_errors():
         det(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):
         det(np.full((2, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_signed_permutations_are_lexicographic_read_only_and_signed(n):
+    rows, perms, signs = signed_permutations(n)
+    assert rows.tolist() == list(range(n))
+    assert [tuple(p) for p in perms.tolist()] == list(itertools.permutations(range(n)))
+    assert signs.dtype == np.float64
+    assert signs.tolist() == [permutation_sign(p) for p in perms.tolist()]
+    for a in (rows, perms, signs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert signed_permutations(n)[1] is perms  # one cached table
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_det_leibniz_matches_lu(n):
+    rng = np.random.default_rng([91, n])
+    stack = rng.uniform(-1, 1, (3, n, n)) + 1j * rng.uniform(-1, 1, (3, n, n))
+    want = np.linalg.det(stack)
+    assert np.all(np.abs(det_leibniz(stack) - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_det_leibniz_is_exact_on_gaussian_integers(n):
+    # entries in {-3..3} + i{-3..3}: every product and partial sum below n = 8
+    # is a Gaussian integer of modulus below 2^53, so each operation is exact
+    rng = np.random.default_rng([92, n])
+    stack = rng.integers(-3, 4, (3, n, n)) + 1j * rng.integers(-3, 4, (3, n, n))
+    for d, m in zip(det_leibniz(stack), stack.tolist()):
+        exact = sum(
+            permutation_sign(p) * np.prod([complex(m[i][p[i]]) for i in range(n)])
+            for p in itertools.permutations(range(n))
+        )
+        assert d == exact
 
 
 def test_det_multiplicative():
