@@ -5,6 +5,8 @@ its vertex expansion, and the Lorentz-contracted mixed discriminant.
 Conventions: N_f x N_f Hermitian generators t^0..t^(N^2-1) normalized to
 Tr(t^a t^b) = delta^{ab}/2 with t^0 = 1/sqrt(2 N_f); field matrices
 A_k = (1/sqrt(2)) sum_a (s_k^a + i p_k^a) t^a; metric signature (+,-,-,-).
+A basis is one read-only (N_f^2, N_f, N_f) stack, and every field matrix,
+or stack of them, is assembled from it by ``assemble_field_matrix``.
 
 A step that needs many values of eps -- the 3-flavor eps table (165
 tuples), the field-expansion fit (one tuple per sample) and the Lorentz
@@ -34,7 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engines import DEFAULT_ENGINE, _kernel, polydet, polydet_many
-from .matrices import as_matrix, det, identity, validate_matrix_tuple
+# ``det`` is the trusted stack kernel: the stacks it gets are assembled or validated here
+from .matrices import as_matrix, det_stack as det, identity, validate_matrix_tuple
 
 __all__ = [
     "GeneratorBasis",
@@ -71,7 +74,7 @@ METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 @dataclass(frozen=True)
 class GeneratorBasis:
     n: int
-    generators: tuple[np.ndarray, ...]  # t^0 first, then the traceless ones
+    generators: np.ndarray  # read-only (n^2, n, n) stack, t^0 first, then the traceless ones
 
 
 class Multiplet(NamedTuple):
@@ -95,58 +98,48 @@ class Couplings:
 
 
 def build_generators(n: int) -> GeneratorBasis:
-    """Generalized Gell-Mann basis for 2 <= n <= 5.
+    """Generalized Gell-Mann basis for 2 <= n <= 5, as one read-only stack.
 
     Built per block k = 2..n: the symmetric and antisymmetric pair matrices
     (j, k) for j < k, then the k-th diagonal generator; this reproduces the
     conventional n=3 ordering (so index 3 and 8 are the diagonal ones).
     All are halved to satisfy Tr(t^a t^b) = delta^{ab}/2, and
-    t^0 = 1/sqrt(2n) is prepended.
+    t^0 = 1/sqrt(2n) leads.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"generator basis supported for 2 <= n <= 5, got {n}")
-    mats = [identity(n) / math.sqrt(2 * n)]
+    ts = np.zeros((n * n, n, n), dtype=np.complex128)
+    ts[0] = identity(n) / math.sqrt(2 * n)
+    a = 1
     for k in range(2, n + 1):
-        for j in range(1, k):
-            sym = np.zeros((n, n), dtype=np.complex128)
-            sym[j - 1, k - 1] = sym[k - 1, j - 1] = 0.5
-            mats.append(sym)
-            asym = np.zeros((n, n), dtype=np.complex128)
-            asym[j - 1, k - 1] = -0.5j
-            asym[k - 1, j - 1] = 0.5j
-            mats.append(asym)
-        diag = np.zeros((n, n), dtype=np.complex128)
-        for i in range(k - 1):
-            diag[i, i] = 1.0
-        diag[k - 1, k - 1] = -(k - 1)
-        diag *= 1.0 / math.sqrt(2.0 * k * (k - 1))
-        mats.append(diag)
-    return GeneratorBasis(n, tuple(mats))
+        for j in range(k - 1):
+            ts[a, j, k - 1] = ts[a, k - 1, j] = 0.5
+            ts[a + 1, j, k - 1], ts[a + 1, k - 1, j] = -0.5j, 0.5j
+            a += 2
+        ts[a, range(k), range(k)] = [1.0] * (k - 1) + [-(k - 1)]
+        ts[a] *= 1.0 / math.sqrt(2.0 * k * (k - 1))
+        a += 1
+    ts.flags.writeable = False
+    return GeneratorBasis(n, ts)
 
 
-#: the 3-flavor generators t^0..t^8 as one read-only (9, 3, 3) stack, and the
-#: basis whose generators are views of it
-_T3 = np.array(build_generators(3).generators)
-_T3.flags.writeable = False
-_BASIS3 = GeneratorBasis(3, tuple(_T3))
+_BASIS3 = build_generators(3)
 
 
-def assemble_field_matrix(basis: GeneratorBasis, s: Sequence[float], p: Sequence[float]) -> np.ndarray:
-    """A = (1/sqrt(2)) sum_a (s^a + i p^a) t^a, as one ``tensordot``."""
+def assemble_field_matrix(basis: GeneratorBasis, s, p) -> np.ndarray:
+    """A = (1/sqrt(2)) sum_a (s^a + i p^a) t^a, as one ``tensordot``; the n^2
+    components run along the last axis, so leading axes give a stack of A."""
     n2 = basis.n * basis.n
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
-    if s.shape != (n2,) or p.shape != (n2,):
-        raise ValueError(f"component arrays must have length {n2}, got {s.shape} and {p.shape}")
+    if s.shape != p.shape or s.shape[-1:] != (n2,):
+        raise ValueError(f"s and p need one shape ending in {n2}, got {s.shape} and {p.shape}")
     return np.tensordot(s + 1j * p, basis.generators, axes=1) / math.sqrt(2.0)
 
 
 def project_field_matrix(basis: GeneratorBasis, m) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (s, p) from a field matrix via Tr(t^a t^b) = delta^{ab}/2."""
-    a = as_matrix(m)
-    coeffs = np.array(
-        [2.0 * math.sqrt(2.0) * complex(np.trace(a @ t)) for t in basis.generators]
-    )
+    """Recover (s, p) from a field matrix via Tr(t^a t^b) = delta^{ab}/2, all in one contraction."""
+    coeffs = 2.0 * math.sqrt(2.0) * np.einsum("ij,aji->a", as_matrix(m), basis.generators)
     return coeffs.real.copy(), coeffs.imag.copy()
 
 
@@ -221,30 +214,25 @@ def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
     return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))
 
 
-def _field_matrices(cfg: FieldConfiguration, f0: float, shifted: bool):
-    mats = []
-    for i, mult in enumerate(cfg.multiplets):
-        a = assemble_field_matrix(_BASIS3, mult.s, mult.p)
-        if shifted and i == 0:
-            a = f0 * _T3[0] + a
-        mats.append(a)
-    return mats
-
-
 def lagrangian_value(cfg: FieldConfiguration, couplings: Couplings, shifted: bool = False) -> float:
     """Value of the anomalous two-multiplet interaction Lagrangian.
 
     L = 2 Re[ c1 det A1 + c2 det A2 + c3 eps(A1,A1,A2) + c4 eps(A1,A2,A2) ],
-    with A1 shifted by the vacuum value f0 t^0 when requested.
+    with A1 shifted by the vacuum value f0 t^0 when requested.  Both
+    multiplets are assembled by one call and both determinants taken by one.
     """
     if cfg.n != 3:
         raise ValueError(f"the Lagrangian layer is fixed at 3 flavors, got n={cfg.n}")
     if len(cfg.multiplets) != 2:
         raise ValueError(f"need exactly 2 multiplets, got {len(cfg.multiplets)}")
-    a1, a2 = _field_matrices(cfg, couplings.f0, shifted)
+    a = assemble_field_matrix(_BASIS3, *np.transpose(cfg.multiplets, (1, 0, 2)))
+    if shifted:
+        a[0] = couplings.f0 * _BASIS3.generators[0] + a[0]
+    a1, a2 = a
+    det1, det2 = det(a).tolist()
     total = (
-        couplings.c1 * det(a1)
-        + couplings.c2 * det(a2)
+        couplings.c1 * det1
+        + couplings.c2 * det2
         + couplings.c3 * polydet([a1, a1, a2]).value
         + couplings.c4 * polydet([a1, a2, a2]).value
     )
@@ -327,14 +315,14 @@ def verify_field_expansion(seed: int, samples: int = 200) -> FieldExpansionRepor
     P is the hard-coded cubic polynomial; eps is the engine value on the
     assembled matrices.  Returns the least-squares kappa and the largest
     |P - kappa*eps| relative to max|P|.  Each sample draws s1, p1, s2, p2
-    in that order; all samples are assembled by one ``einsum`` and their
-    eps(A1, A1, A2) come from one batch.
+    in that order; all samples are assembled by one stacked
+    ``assemble_field_matrix`` and their eps(A1, A1, A2) come from one batch.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     comps = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 4, 9))
-    phi = comps[:, 0::2] + 1j * comps[:, 1::2]  # (samples, multiplet, a)
-    fields = np.einsum("ska,aij->skij", phi, _T3) / math.sqrt(2.0)
+    fields = assemble_field_matrix(_BASIS3, comps[:, 0::2], comps[:, 1::2])  # (samples, multiplet, 3, 3)
+    phi = comps[:, 0::2] + 1j * comps[:, 1::2]
     # 64 samples at a time keep the polynomial's (samples, terms) temporaries at
     # 53 KB; all 200 at once made 166 KB ones, which raised the peak RSS
     p_arr = np.concatenate([_field_polynomial(f[:, 0], f[:, 1]) for f in np.split(phi, range(64, samples, 64))])
@@ -441,7 +429,7 @@ def _eps3_table() -> np.ndarray:
     """eps(t^a, t^b, t^c) over the 3-flavor basis, all 9^3 combinations."""
     # eps is symmetric in its arguments, so the 165 tuples with a <= b <= c give the table
     abc = np.array(list(itertools.combinations_with_replacement(range(9), 3)))
-    values = polydet_many(_T3[abc])
+    values = polydet_many(_BASIS3.generators[abc])
     table = np.zeros((9, 9, 9), dtype=np.complex128)
     for order in itertools.permutations(range(3)):
         table[tuple(abc[:, order].T)] = values

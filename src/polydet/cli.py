@@ -94,6 +94,8 @@ def run_bench(
     discarded before timing.  A cell whose engine is guarded out at that n
     has no row; any other error, an unknown engine name included, propagates.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for name in engine_names:
         for n in n_values:
@@ -108,9 +110,7 @@ def run_bench(
                 start = time.perf_counter_ns()
                 fn(mats)
                 samples.append(time.perf_counter_ns() - start)
-            mean = statistics.fmean(samples)
-            std = statistics.pstdev(samples) if len(samples) > 1 else 0.0
-            rows.append((name, n, mean, std))
+            rows.append((name, n, statistics.fmean(samples), statistics.pstdev(samples)))
     return rows
 
 
@@ -125,13 +125,12 @@ def _cmd_bench(args) -> int:
 
 def _anomaly_report(cfg, couplings, seed: int, trials: int) -> dict:
     n = cfg.n
-    basis = _anomaly.build_generators(n)
-    assembled = [
-        _anomaly.assemble_field_matrix(basis, m.s, m.p) for m in cfg.multiplets
-    ]
-    if len(assembled) < 2:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if len(cfg.multiplets) < 2:
         raise ValueError("need at least two multiplets")
-    mats = [assembled[0]] * (n - 1) + [assembled[1]]
+    s, p = np.transpose(cfg.multiplets, (1, 0, 2))
+    mats = _anomaly.assemble_field_matrix(_anomaly.build_generators(n), s, p)[[0] * (n - 1) + [1]]
 
     rng = np.random.default_rng(seed)
     su_dev: Optional[float] = 0.0

@@ -166,6 +166,10 @@ def det_leibniz(stack: np.ndarray) -> np.ndarray:
 
     sum_sigma sgn(sigma) prod_i a[i, sigma(i)] over :func:`signed_permutations`,
     gathered by one index of B * n! * n entries; exact on small integers.
+    The batch axis is innermost, so numpy reduces a stack of one by its scalar
+    complex multiply and a larger stack by its SIMD (fused multiply-add) loop:
+    a matrix's value can differ between the two in its last bits, by under
+    1e-15 of the sum of the terms' moduli.
     """
     rows, perms, signs = signed_permutations(stack.shape[-1])
     return (stack[:, rows, perms].prod(axis=-1) * signs).sum(axis=-1)
@@ -176,7 +180,8 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
 
     Nothing is checked: the caller passes a finite stack of square matrices
     that it made or validated.  :func:`det_leibniz` for n <= 3, LU
-    factorization with partial pivoting (LAPACK) for n >= 4.
+    factorization with partial pivoting (LAPACK) for n >= 4.  For n <= 3 a
+    value's last bits depend on the stack's size; see :func:`det_leibniz`.
     """
     return det_leibniz(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
 

@@ -143,6 +143,10 @@ def run_property_suite(
     threads: int = 0,
 ) -> list[PropertyResult]:
     """Run every property for every dimension; deterministic for fixed inputs."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if bad := [n for n in n_values if n < 2]:
+        raise ValueError(f"every n in n_values must be >= 2, got {bad[0]}")
     if engines is None:
         engines = _engines.ENGINES
     tasks = [(name, n) for name in PROPERTY_NAMES for n in n_values]

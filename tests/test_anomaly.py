@@ -35,7 +35,7 @@ from polydet.anomaly import (
     with_variance,
 )
 from polydet.engines import polydet, polydet_subset_sum
-from polydet.matrices import identity, random_matrix
+from polydet.matrices import det_stack, identity, random_matrix
 
 SQRT6 = math.sqrt(6.0)
 
@@ -97,6 +97,35 @@ def test_generator_orthonormality(n):
             assert abs(np.trace(ta @ tb) - want) < 1e-12
 
 
+def literal_generators(n):
+    """The basis one matrix at a time, written out as build_generators describes it."""
+    mats = [np.eye(n, dtype=np.complex128) / math.sqrt(2 * n)]
+    for k in range(2, n + 1):
+        for j in range(1, k):
+            sym = np.zeros((n, n), dtype=np.complex128)
+            sym[j - 1, k - 1] = sym[k - 1, j - 1] = 0.5
+            asym = np.zeros((n, n), dtype=np.complex128)
+            asym[j - 1, k - 1] = -0.5j
+            asym[k - 1, j - 1] = 0.5j
+            mats += [sym, asym]
+        diag = np.zeros((n, n), dtype=np.complex128)
+        for i in range(k - 1):
+            diag[i, i] = 1.0
+        diag[k - 1, k - 1] = -(k - 1)
+        diag *= 1.0 / math.sqrt(2.0 * k * (k - 1))
+        mats.append(diag)
+    return mats
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generators_are_one_read_only_stack_bitwise_the_literal_basis(n):
+    ts = build_generators(n).generators
+    assert isinstance(ts, np.ndarray) and ts.shape == (n * n, n, n) and ts.dtype == np.complex128
+    assert ts.tobytes() == np.array(literal_generators(n)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ts[0, 0, 0] = 1.0
+
+
 def test_generators_reject_unsupported_n():
     with pytest.raises(ValueError):
         build_generators(1)
@@ -133,6 +162,34 @@ def test_assemble_length_mismatch():
     basis = build_generators(3)
     with pytest.raises(ValueError):
         assemble_field_matrix(basis, np.zeros(8), np.zeros(9))
+
+
+@pytest.mark.parametrize(
+    "s_shape, p_shape", [((9,), (8,)), ((2, 9), (9,)), ((9,), (3, 9)), ((2, 9), (3, 9)), ((9, 2), (9, 2)), ((), ())]
+)
+def test_assemble_rejects_mismatched_component_shapes(s_shape, p_shape):
+    with pytest.raises(ValueError, match="s and p need one shape ending in 9"):
+        assemble_field_matrix(build_generators(3), np.zeros(s_shape), np.zeros(p_shape))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_assembly_matches_single_calls(n):
+    basis = build_generators(n)
+    s, p = np.random.default_rng([7, n]).uniform(-1, 1, (2, 4, 3, n * n))
+    stack = assemble_field_matrix(basis, s, p)
+    assert stack.shape == (4, 3, n, n)
+    for idx in np.ndindex(4, 3):
+        one = assemble_field_matrix(basis, s[idx], p[idx])
+        assert np.abs(stack[idx] - one).max() <= 1e-15 * np.abs(one).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_projection_inverts_the_stacked_assembly(n):
+    basis = build_generators(n)
+    s, p = np.random.default_rng([8, n]).uniform(-1, 1, (2, 5, n * n))
+    for a, s_k, p_k in zip(assemble_field_matrix(basis, s, p), s, p):
+        s2, p2 = project_field_matrix(basis, a)
+        assert np.abs(s2 - s_k).max() <= 1e-14 and np.abs(p2 - p_k).max() <= 1e-14
 
 
 # --- transformations ----------------------------------------------------------
@@ -253,11 +310,11 @@ def counting(calls, fn):
 
 def test_check_invariance_per_call_work(monkeypatch):
     # the tuple is validated once; one stacked kernel determinant serves both
-    # tuples (2 x 2^(3-1) matrices) and one public det both factors; a single
+    # tuples (2 x 2^(3-1) matrices) and one trusted det both factors; a single
     # polydet call validates its tuple and takes 2^(3-1) determinants
-    kernel, public, validated, revalidated = [], [], [], []
+    kernel, trusted, validated, revalidated = [], [], [], []
     monkeypatch.setattr(engines_module, "det", counting(kernel, engines_module.det))
-    monkeypatch.setattr(anomaly_module, "det", counting(public, anomaly_module.det))
+    monkeypatch.setattr(anomaly_module, "det", counting(trusted, anomaly_module.det))
     monkeypatch.setattr(
         anomaly_module, "validate_matrix_tuple", counting(validated, anomaly_module.validate_matrix_tuple)
     )
@@ -266,7 +323,7 @@ def test_check_invariance_per_call_work(monkeypatch):
     )
     mats = [random_matrix(3, k) for k in (74, 75, 76)]
     check_invariance(mats, random_matrix(3, 77, "special-unitary"), random_matrix(3, 78, "unitary"))
-    assert (kernel, public, validated, revalidated) == ([8], [2], [3], [])
+    assert (kernel, trusted, validated, revalidated) == ([8], [2], [3], [])
     kernel.clear()
     polydet(mats)
     assert (kernel, revalidated) == ([4], [3])
@@ -316,6 +373,15 @@ def test_lagrangian_zero_fields_shifted_vacuum_energy():
     value = lagrangian_value(cfg, COUPLINGS, shifted=True)
     expected = 2 * COUPLINGS.c1.real * COUPLINGS.f0**3 / (6 * SQRT6)
     assert abs(value - expected) < 1e-12
+
+
+def test_lagrangian_takes_both_determinants_from_one_trusted_call(monkeypatch):
+    assert anomaly_module.det is det_stack
+    calls = []
+    monkeypatch.setattr(anomaly_module, "det", counting(calls, anomaly_module.det))
+    for shifted in (False, True):
+        lagrangian_value(random_config(61), COUPLINGS, shifted)
+    assert calls == [2, 2]
 
 
 def test_lagrangian_is_real_with_conjugate_pair():

@@ -164,6 +164,26 @@ def test_verify_corrupted_engine_exits_1(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--trials", "0", "--json"], "trials must be >= 1, got 0"),
+        (["verify", "--trials", "-3"], "trials must be >= 1, got -3"),
+        (["verify", "--n", "1"], "every n in n_values must be >= 2, got 1"),
+        (["verify", "--n", "0..3"], "every n in n_values must be >= 2, got 0"),
+        (["bench", "--n", "2", "--trials", "0"], "repetitions must be >= 1, got 0"),
+        (["anomaly", "fields_n3.json", "couplings.json", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["anomaly", "fields_n2.json", "couplings.json", "--json", "--trials", "0"], "trials must be >= 1, got 0"),
+    ],
+)
+def test_runs_that_would_check_nothing_exit_2_naming_the_argument(capsys, argv, message):
+    argv = [str(REPO_ROOT / "configs" / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polydet: error: {message}\n"
+
+
 def test_bench_csv_shape(capsys):
     code, out = run_cli(
         capsys, "bench", "--n", "2..3", "--engine", "subset_sum,volume", "--trials", "2"

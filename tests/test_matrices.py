@@ -91,6 +91,19 @@ def test_det_leibniz_is_exact_on_gaussian_integers(n):
         assert d == exact
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_det_leibniz_depends_on_the_stack_size_only_in_the_last_bits(n):
+    # a stack of one and a larger one take different complex multiply loops;
+    # the gap stays below 1e-15 of the sum of the terms' moduli
+    rows, perms, _ = signed_permutations(n)
+    rng = np.random.default_rng([93, n])
+    stack = rng.uniform(-1, 1, (1000, n, n)) + 1j * rng.uniform(-1, 1, (1000, n, n))
+    alone = np.array([det(m) for m in stack])
+    scale = np.abs(stack[:, rows, perms].prod(axis=-1)).sum(axis=-1)
+    for together in (det(stack), det(np.repeat(stack, 2, axis=0))[::2]):
+        assert np.all(np.abs(together - alone) <= 1e-15 * scale)
+
+
 def test_det_multiplicative():
     for n in range(2, 7):
         a = random_matrix(n, 2 * n)
