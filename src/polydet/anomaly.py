@@ -71,10 +71,15 @@ UNITARY_TOL = 1e-8
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     n: int
     generators: np.ndarray  # read-only (n^2, n, n) stack, t^0 first, then the traceless ones
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratorBasis):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.generators, other.generators)
 
 
 class Multiplet(NamedTuple):

@@ -256,6 +256,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # verify, bench and anomaly seed numpy generators
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"polydet: error: {exc}", file=sys.stderr)

@@ -110,7 +110,8 @@ def canonicalize(word: Sequence) -> tuple:
     w = tuple(word)
     if not w:
         raise ValueError("empty trace word")
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    first = min(w)  # the minimal rotation starts with the minimal letter
+    return min(w[i:] + w[:i] for i, letter in enumerate(w) if letter == first)
 
 
 def _validate_partition_vector(counts: Sequence[int]) -> int:

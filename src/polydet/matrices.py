@@ -108,32 +108,26 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
     terms by one gather into the trace vector, whose trailing 1.0 pads the
     terms with fewer words.
     """
-    ids: dict[tuple, int] = {}  # word -> its entry in the trace vector
-    weights, counts, entries = [], [], []
-    for weight, words in terms:
-        weights.append(weight)
-        counts.append(len(words))
-        entries.extend(ids.setdefault(w, len(ids)) for w in words)
-    weights = np.array(weights, dtype=np.float64)
-    counts = np.array(counts, dtype=np.intp)
+    terms = list(terms)
+    listed = [w for _, words in terms for w in words]
+    ids = {w: entry for entry, w in enumerate(dict.fromkeys(listed))}  # word -> its entry in the trace vector
+    weights = np.array([weight for weight, _ in terms], dtype=np.float64)
+    counts = np.array([len(words) for _, words in terms], dtype=np.intp)
     pad = len(ids)
     index = np.full((len(counts), counts.max(initial=0)), pad, dtype=np.intp)
-    index[np.arange(index.shape[1]) < counts[:, None]] = entries  # row by row, as listed
+    index[np.arange(index.shape[1]) < counts[:, None]] = list(map(ids.__getitem__, listed))  # row by row
 
-    rows: dict[tuple, int] = {}  # prefix of length >= 2 -> its row among the prefixes of its length
-    steps = defaultdict(list)  # length -> (parent row, last letter) of each prefix of that length
+    # length -> (parent row, last letter) of each prefix of that length -> its row among them
+    rows: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
     by_length = defaultdict(list)  # length -> (trace entry, prefix row, last letter) of each word
     for w, entry in ids.items():
         parent = w[0]  # the row of w[:k - 1]; a one-letter prefix is its letter's row in the stack
         for k in range(2, len(w)):
-            got = rows.get(w[:k])
-            if got is None:
-                got = rows[w[:k]] = len(steps[k])
-                steps[k].append((parent, w[k - 1]))
-            parent = got
+            level = rows[k]
+            parent = level.setdefault((parent, w[k - 1]), len(level))
         by_length[len(w)].append((entry, parent, w[-1]))
     words = [(length, *np.array(by_length[length], dtype=np.intp).T) for length in sorted(by_length)]
-    levels = [np.array(steps[k], dtype=np.intp).T for k in range(2, max(by_length, default=0))]
+    levels = [np.array(list(rows[k]), dtype=np.intp).T for k in range(2, max(by_length, default=0))]
 
     def value(stack: np.ndarray) -> complex:
         prods = [None, stack]  # prods[k][r] = product of the length-k prefix in row r

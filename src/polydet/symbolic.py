@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,37 +60,56 @@ class TraceExpansion:
     def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex]]:
         """The labels in order of first appearance, and the trace-sum plan of
         the terms over the stack of their matrices in that order."""
-        slots: dict[str, int] = {}
-        words = dict.fromkeys(w for t in self.terms for w in t.words)
-        spelled = {w: tuple(slots.setdefault(label, len(slots)) for label in w) for w in words}
-        plan = trace_sum_plan((float(t.coefficient), [spelled[w] for w in t.words]) for t in self.terms)
-        return tuple(slots), plan
+        spelled: dict[Word, tuple[int, ...]] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
+        slots = {label: i for i, label in enumerate(dict.fromkeys(chain.from_iterable(spelled)))}
+        for w in spelled:
+            spelled[w] = tuple(map(slots.__getitem__, w))
+        weights: dict[tuple[int, int], float] = {}  # (numerator, denominator) -> its float
+        terms = []
+        for coef, words in self.terms:
+            key = coef.numerator, coef.denominator
+            weight = weights.get(key)
+            if weight is None:
+                weight = weights[key] = float(coef)
+            terms.append((weight, [spelled[w] for w in words]))
+        return tuple(slots), trace_sum_plan(terms)
 
     def __getstate__(self) -> dict:
         """Pickle the fields alone: the plan is a cache, rebuilt on demand."""
         return {name: value for name, value in self.__dict__.items() if name != "_plan"}
 
 
-def _monomial_key(words: tuple[Word, ...], n: int) -> tuple:
-    """Deterministic term order: partition class first, then words."""
-    counts = [0] * n
-    for w in words:
-        counts[len(w) - 1] += 1
-    return (-len(words), tuple(-c for c in counts), words)
+def _term_key(words: tuple[Word, ...]) -> tuple:
+    """Deterministic term order: partition class first, then words.
+
+    Words are sorted by (length, word), so more words, then more short words,
+    come first: the order of descending partition vectors.
+    """
+    return (-len(words), tuple(map(len, words)), words)
 
 
-def _sorted_words(words: Sequence[Word]) -> tuple[Word, ...]:
-    return tuple(sorted(words, key=lambda w: (len(w), w)))
+def _sorted_words(keys: Iterable, memo: dict, canon: Callable[[object], Word]) -> tuple[Word, ...]:
+    """The canonical words of one term, sorted by (length, word).
+
+    ``memo`` maps each key to its (length, canonical word) pair, which
+    ``canon`` makes on a key's first appearance; callers keep it for one
+    call, so each distinct word is spelled and canonicalized once.
+    """
+    pairs = []
+    for key in keys:
+        pair = memo.get(key)
+        if pair is None:
+            word = canon(key)
+            pair = memo[key] = (len(word), word)
+        pairs.append(pair)
+    pairs.sort()
+    return tuple([word for _, word in pairs])
 
 
 def _merged(n: int, acc: Mapping[tuple[Word, ...], Fraction]) -> TraceExpansion:
     """The non-zero terms of a words -> coefficient map, in term order."""
-    terms = tuple(
-        TraceMonomial(coef, words)
-        for words, coef in sorted(acc.items(), key=lambda kv: _monomial_key(kv[0], n))
-        if coef != 0
-    )
-    return TraceExpansion(n, terms)
+    kept = sorted((words for words, coef in acc.items() if coef), key=_term_key)
+    return TraceExpansion(n, tuple([TraceMonomial(acc[words], words) for words in kept]))
 
 
 def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
@@ -107,12 +127,17 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
 
+    def spell(cycle: tuple[int, ...]) -> Word:
+        return canonicalize([labels[i] for i in cycle])
+
+    spelled: dict[tuple[int, ...], tuple[int, Word]] = {}  # index cycle -> (length, canonical word)
     counts: dict[tuple[Word, ...], int] = {}
     for sign, cycles in cycle_covers(n):
-        words = _sorted_words([canonicalize(tuple(labels[i] for i in c)) for c in cycles])
+        words = _sorted_words(cycles, spelled, spell)
         counts[words] = counts.get(words, 0) + sign
     fact = math.factorial(n)
-    return _merged(n, {words: Fraction(count, fact) for words, count in counts.items()})
+    coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
+    return _merged(n, {words: coefficients[count] for words, count in counts.items()})
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
@@ -155,36 +180,65 @@ _SPELLERS = {
 }
 
 
+def _spelled_terms(
+    expansion: TraceExpansion,
+    spell_coefficient: Callable[[Fraction], str],
+    spell_word: Callable[[Word], str],
+    joiner: str,
+) -> list[str]:
+    """Each term as its coefficient's spelling followed by its words'
+    spellings, joined; each distinct coefficient and word is spelled once."""
+    heads: dict[tuple[int, int], str] = {}  # (numerator, denominator) -> its spelling
+    spelled: dict[Word, str] = {}
+    parts = []
+    for coef, words in expansion.terms:
+        key = coef.numerator, coef.denominator
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = spell_coefficient(coef)
+        texts = []
+        for word in words:
+            text = spelled.get(word)
+            if text is None:
+                text = spelled[word] = spell_word(word)
+            texts.append(text)
+        parts.append(head + joiner.join(texts))
+    return parts
+
+
 def _render_signed(expansion: TraceExpansion, format: str) -> str:
     """The terms as one signed sum: "-" before a negative first term, " + "
     or " - " before each later one, and "0" for no terms."""
     opening, letters, joiner, spell_magnitude = _SPELLERS[format]
-    parts = []
-    for i, term in enumerate(expansion.terms):
-        coef = term.coefficient
+
+    def spell_coefficient(coef: Fraction) -> str:
         mag = abs(coef)
-        body = joiner.join(opening + letters.join(word) + ")" for word in term.words)
-        if mag != 1:
-            body = spell_magnitude(mag) + body
-        if i == 0:
-            parts.append(body if coef > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coef > 0 else f" - {body}")
-    return "".join(parts) if parts else "0"
+        return (" + " if coef > 0 else " - ") + (spell_magnitude(mag) if mag != 1 else "")
+
+    signed = "".join(_spelled_terms(expansion, spell_coefficient, lambda w: opening + letters.join(w) + ")", joiner))
+    if not signed:
+        return "0"
+    return signed[3:] if signed.startswith(" + ") else "-" + signed[3:]
 
 
 def _render_json(expansion: TraceExpansion) -> str:
-    payload = {
-        "n": expansion.n,
-        "terms": [
-            {
-                "coef": [str(t.coefficient.numerator), str(t.coefficient.denominator)],
-                "words": [list(w) for w in t.words],
-            }
-            for t in expansion.terms
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
+    """The text of json.dumps(payload, sort_keys=True) for the payload
+    {"n": n, "terms": [{"coef": [num, den], "words": [[label, ...], ...]}, ...]}
+    with its default separators, put together from json.dumps of each
+    distinct label and each distinct coefficient's [num, den] strings."""
+    labels: dict[object, str] = {}
+
+    def spell_coefficient(coef: Fraction) -> str:
+        return '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": ['
+
+    def spell_word(word: Word) -> str:
+        for label in word:
+            if label not in labels:
+                labels[label] = json.dumps(label)
+        return "[" + ", ".join(map(labels.__getitem__, word)) + "]"
+
+    terms = ", ".join([part + "]}" for part in _spelled_terms(expansion, spell_coefficient, spell_word, ", ")])
+    return '{"n": ' + json.dumps(expansion.n) + ', "terms": [' + terms + "]}"
 
 
 def render(expansion: TraceExpansion, format: str = "text") -> str:
@@ -200,10 +254,15 @@ def parse_expansion(text) -> TraceExpansion:
     """Inverse of render(..., 'json'); normalizes words and term order."""
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
     n = int(obj["n"])
+    spelled: dict[Word, tuple[int, Word]] = {}
+    coefficients: dict[tuple, Fraction] = {}  # the (num, den) spelling -> its value
     acc: dict[tuple[Word, ...], Fraction] = {}
     for entry in obj["terms"]:
-        num, den = entry["coef"]
-        coef = Fraction(int(num), int(den))
-        words = _sorted_words([canonicalize(tuple(w)) for w in entry["words"]])
-        acc[words] = acc.get(words, Fraction(0)) + coef
+        spelling = tuple(entry["coef"])
+        coef = coefficients.get(spelling)
+        if coef is None:
+            num, den = spelling
+            coef = coefficients[spelling] = Fraction(int(num), int(den))
+        words = _sorted_words(map(tuple, entry["words"]), spelled, canonicalize)
+        acc[words] = acc[words] + coef if words in acc else coef
     return _merged(n, acc)

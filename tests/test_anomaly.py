@@ -14,6 +14,7 @@ from polydet.anomaly import (
     METRIC,
     Couplings,
     FieldConfiguration,
+    GeneratorBasis,
     IndeterminateRatioError,
     LorentzIndexedFamily,
     Multiplet,
@@ -124,6 +125,15 @@ def test_generators_are_one_read_only_stack_bitwise_the_literal_basis(n):
     assert ts.tobytes() == np.array(literal_generators(n)).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         ts[0, 0, 0] = 1.0
+
+
+def test_generator_bases_compare_by_value():
+    assert build_generators(3) == build_generators(3)
+    assert build_generators(2) != build_generators(3)
+    assert build_generators(3) != 3
+    tampered = build_generators(3).generators.copy()
+    tampered[8, 2, 2] += 1e-15
+    assert build_generators(3) != GeneratorBasis(3, tampered)
 
 
 def test_generators_reject_unsupported_n():

@@ -174,6 +174,9 @@ def test_verify_corrupted_engine_exits_1(capsys, monkeypatch):
         (["bench", "--n", "2", "--trials", "0"], "repetitions must be >= 1, got 0"),
         (["anomaly", "fields_n3.json", "couplings.json", "--trials", "0"], "trials must be >= 1, got 0"),
         (["anomaly", "fields_n2.json", "couplings.json", "--json", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["bench", "--n", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["anomaly", "fields_n3.json", "couplings.json", "--seed", "-7"], "--seed must be >= 0, got -7"),
     ],
 )
 def test_runs_that_would_check_nothing_exit_2_naming_the_argument(capsys, argv, message):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -50,6 +51,7 @@ def test_canonicalize_idempotent_and_rotation_invariant(letters):
     word = tuple(letters)
     canon = canonicalize(word)
     assert canonicalize(canon) == canon
+    assert canon == min(word[i:] + word[:i] for i in range(len(word)))
     for i in range(len(word)):
         assert canonicalize(word[i:] + word[:i]) == canon
 
@@ -279,6 +281,33 @@ def test_render_latex_n3_structure():
     assert text.count("\\mathrm{Tr}") == 11
 
 
+def json_payload_reference(expansion):
+    """render(..., "json") as one json.dumps of the whole payload."""
+    terms = [
+        {
+            "coef": [str(t.coefficient.numerator), str(t.coefficient.denominator)],
+            "words": [list(w) for w in t.words],
+        }
+        for t in expansion.terms
+    ]
+    return json.dumps({"n": expansion.n, "terms": terms}, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "expansion",
+    [
+        expand_polydet(4, ["\u00e9", '"q"', "a\\b", "Z"]),
+        expand_polydet(3, ["B", "A", "B"]),
+        parse_expansion('{"n": 2, "terms": [{"coef": [3, -6], "words": [[2, 1], [1]]}, {"coef": ["4", "1"], "words": []}]}'),
+        TraceExpansion(2, ()),
+    ],
+    ids=("escaped-labels", "repeated-labels", "integer-labels", "no-terms"),
+)
+def test_render_json_is_json_dumps_of_the_payload(expansion):
+    assert render(expansion, "json") == json_payload_reference(expansion)
+    assert parse_expansion(render(expansion, "json")) == expansion
+
+
 def test_render_json_roundtrip_byte_identical():
     for n in (2, 3, 4):
         e = expand_polydet(n, [chr(ord("A") + i) for i in range(n)])
@@ -294,13 +323,18 @@ def test_render_json_roundtrip_byte_identical():
         ("ABCDEF", 720, "057eb3c4f31966dcd882fbfc8532ebc4be608cf2404dcd2e055c6963f5110f8c"),
         ("AAABBC", 84, "173cafda636d102d1259fbb858318ad90da3a266684962177af170d53e20e875"),
         ("ABABAB", 38, "9903a73d9d007cf27abcec399b07d5a544825c195d15e030dab986b4e61b526d"),
+        ("BACCAB", 120, "9cafdb47fd0015c391f4bd40c6215f7054ec9fbea48eeba9d473dd7278b5e4e1"),
     ],
 )
 def test_expand_n6_json_is_pinned(labels, terms, digest):
-    """The full n = 6 json output, byte for byte, as the partition-class expansion gave it."""
+    """The full n = 6 json output, byte for byte, as the partition-class expansion
+    gave it (BACCAB: as the cycle-cover expansion gave it)."""
     e = expand_polydet(6, labels)
     assert len(e.terms) == terms
-    assert hashlib.sha256(render(e, "json").encode()).hexdigest() == digest
+    blob = render(e, "json")
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert e == expand_polydet(6, "".join(sorted(labels)))
+    assert parse_expansion(blob) == e
 
 
 @pytest.mark.parametrize(
@@ -341,6 +375,30 @@ def test_parse_expansion_normalizes():
         '{"coef": ["-1", "2"], "words": [["B", "A"]]}]}'
     )
     assert parse_expansion(blob) == expand_polydet(2, ["A", "B"])
+
+
+def test_parse_expansion_canonicalizes_sums_and_drops_zeros():
+    blob = (
+        '{"n": 3, "terms": ['
+        '{"coef": ["2", "8"], "words": [["C", "A", "B"]]},'
+        '{"coef": ["1", "5"], "words": [["B", "A"]]},'
+        '{"coef": ["-1", "3"], "words": [["C", "B"], ["A"]]},'
+        '{"coef": ["0", "7"], "words": [["B", "A", "C"]]},'
+        '{"coef": ["1", "4"], "words": [["B", "C", "A"]]},'
+        '{"coef": ["1", "1"], "words": [["C"], ["B"], ["A"]]},'
+        '{"coef": ["-1", "5"], "words": [["A", "B"]]}]}'
+    )
+    expected = TraceExpansion(
+        3,
+        (
+            TraceMonomial(Fraction(1), (("A",), ("B",), ("C",))),
+            TraceMonomial(Fraction(-1, 3), (("A",), ("B", "C"))),
+            TraceMonomial(Fraction(1, 2), (("A", "B", "C"),)),
+        ),
+    )
+    parsed = parse_expansion(blob)
+    assert parsed == expected
+    assert [type(t.coefficient) for t in parsed.terms] == [Fraction] * 3
 
 
 def test_expansion_term_order_is_deterministic():
