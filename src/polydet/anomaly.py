@@ -474,15 +474,13 @@ def _complex_monomials(couplings: Couplings) -> tuple[np.ndarray, np.ndarray, np
     the order of a loop over ``itertools.product``.
     """
     eps3 = _eps3_table()
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-
-    def sources(multiplet: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A slot's sources as (coefficients, generator indices, field codes)."""
-        gens = np.arange(9)
-        coefs, codes = np.full(9, complex(inv_sqrt2)), 1 + 9 * (multiplet - 1) + gens
-        if multiplet == 1 and couplings.f0 != 0.0:
-            return np.r_[complex(couplings.f0), coefs], np.r_[0, gens], np.r_[0, codes]
-        return coefs, gens, codes
+    gens = np.arange(9)
+    coefs = np.full(9, complex(1.0 / math.sqrt(2.0)))
+    # each multiplet's slot sources as (coefficients, generator indices, field codes)
+    sources = {k: (coefs, gens, 1 + 9 * (k - 1) + gens) for k in (1, 2)}
+    if couplings.f0 != 0.0:  # the vacuum source f0 t^0 leads multiplet 1's, with code 0
+        vacuum = (complex(couplings.f0), 0, 0)
+        sources[1] = tuple(np.concatenate([[first], part]) for first, part in zip(vacuum, sources[1]))
 
     structures = (
         (couplings.c1, (1, 1, 1)),
@@ -495,7 +493,7 @@ def _complex_monomials(couplings: Couplings) -> tuple[np.ndarray, np.ndarray, np
     for coupling, slots in structures:
         if coupling == 0:
             continue
-        (c0, g0, code0), (c1, g1, code1), (c2, g2, code2) = (sources(k) for k in slots)
+        (c0, g0, code0), (c1, g1, code1), (c2, g2, code2) = (sources[k] for k in slots)
         # the (slot 0, slot 1, slot 2) grid raveled is itertools.product order
         eps = eps3[np.ix_(g0, g1, g2)].ravel()
         nz = np.flatnonzero(eps)

@@ -56,7 +56,9 @@ def _cmd_compute(args) -> int:
     mats = [load_matrix_file(path) for path in args.files]
     result = _engines.polydet(mats, args.engine)
     _emit(
-        json.dumps({"re": result.value.real, "im": result.value.imag, "engine": result.engine}),
+        json.dumps(
+            {"re": result.value.real, "im": result.value.imag, "engine": result.engine, "grid": result.grid}
+        ),
         args.out,
     )
     return EXIT_OK

@@ -18,7 +18,16 @@ arguments coincide.  The engines compute it by these routes:
                       equal terms), 2^(N-1) determinants:
                       1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k),
                       on arguments scaled to unit max-abs entry, with the
-                      determinants taken 2^8 at a time by one stacked ``det``
+                      determinants taken 2^8 at a time by one stacked ``det``;
+                      a tuple whose r distinct arguments repeat m_1 <= ... <= m_r
+                      times is read off a mixed-radix roots-of-unity grid
+                      instead, s_1 = 1 and s_j = (m_j/m_1) w_j with w_j on
+                      the (m_j+1)-th roots of unity:
+                      C(N; m) eps(U^m) = mean_s prod_{j>=2} s_j^(-m_j) det(sum_j s_j U_j),
+                      prod_{j>=2} (m_j+1) determinants, whenever that is at
+                      most half of 2^(N-1) (a complex combination costs
+                      about twice a +-1 one); with every m_j = 1 the grid is
+                      the sign table itself
     trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
                       Tr(A_{i_1} ... A_{i_L}),
@@ -36,9 +45,15 @@ it accepts).  A kernel takes a validated (B, N, N, N) batch of tuples and
 returns their B values: ``subset_sum`` evaluates the whole batch in stacked
 ``det`` calls of at most 2^8 matrices, the other four run their one-tuple
 kernel on each row.  ``polydet`` validates one tuple and runs it as a batch
-of one; ``polydet_many`` validates a whole batch once; ``det_of_sum``
-validates its summands once and evaluates the repeated tuples of its
-compositions in batches of at most 2^8 matrices.
+of one; ``polydet_many`` validates a whole batch once.  With the default
+engine both find repeated arguments by exact equality of their bytes (a
+batch first sorts each tuple's integer keys of its matrices, so only rows
+whose grid may pay are checked one by one) and take each multiplicity
+pattern's rows on its roots grid; all-distinct tuples keep the sign table
+and its values bit for bit.  ``det_of_sum`` validates its summands once and
+takes its compositions from a table cached per (N, r): each composition
+whose grid pays is read off its own grid, the others go to the kernel in
+batches of at most 2^8 matrices.
 """
 
 from __future__ import annotations
@@ -92,6 +107,8 @@ class PolydetResult:
     value: complex
     engine: str
     n: int
+    #: "roots" when the default kernel read the value off the roots-of-unity grid, else "signs"
+    grid: str = "signs"
 
 
 def _naive_value(stack: np.ndarray) -> complex:
@@ -202,6 +219,185 @@ def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _roots_grid_pays(pattern: tuple[int, ...]) -> bool:
+    """Whether the roots grid of the ascending multiplicities ``pattern`` takes
+    at most half the 2^(N-1) determinants of the +-1 table: a complex
+    combination costs about twice a real +-1 one."""
+    return 4 * math.prod(m + 1 for m in pattern[1:]) <= 1 << sum(pattern)
+
+
+def _roots(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every point s of the grid of (size_j)-th roots of unity, the last s_j
+    fastest, as (points, prod_j s_j); zero real and imaginary parts are
+    exact, so +-1 and +-i are."""
+    steps = np.array(list(itertools.product(*map(range, sizes))), dtype=np.float64, ndmin=2)
+    points = np.exp(2j * np.pi * (steps / sizes))
+    points.real[np.abs(points.real) < 1e-15] = 0.0
+    points.imag[np.abs(points.imag) < 1e-15] = 0.0
+    return points, points.prod(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _grid_table(pattern: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+    """The roots grid of the ascending multiplicities ``pattern``, in tables of at most 2^k points.
+
+    A point is s = (1, s_2, ..., s_r) with s_j = rho_j w_j, w_j one of the
+    (m_j + 1)-th roots of unity and rho_j = m_j / m_1, G = prod_{j >= 2}
+    (m_j + 1) points in all.  The radii put the peak of the multinomial
+    terms C(N; a) prod_j s_j^(a_j) of the grid's polynomial at a = m, so the
+    extraction cancels little; on the unit circle, terms 2^N / C(N; m)
+    times larger could cancel.  A point's extraction weight is
+    X = prod_{j >= 2} w_j^(-m_j) / (G C(N; m) prod_{j >= 2} rho_j^(m_j)),
+    and w_j^(-m_j) = w_j since w_j^(m_j + 1) = 1.  The leading s_j whose
+    points number at most 2^k make the low table, with s_1 = 1 as its first
+    column; each point of the other, high s_j fills the other columns in
+    turn.  Returns (low, high, X, m): the (G_low, 1 + l) low table, the
+    (G_high, r - 1 - l) high points, and for each high point the extraction
+    row over the low table as the (2 G_low, 2) real matrix that maps the
+    (re, im) pairs of G_low determinants to those of their X-weighted sum.
+    """
+    sizes = [m + 1 for m in pattern[1:]]
+    radii = [m / pattern[0] for m in pattern[1:]]
+    split = 0
+    while split < len(sizes) and math.prod(sizes[: split + 1]) <= 1 << k:
+        split += 1
+    low, low_x = _roots(sizes[:split])
+    low = np.hstack([np.ones((len(low), 1)), low * radii[:split]])
+    high, high_x = _roots(sizes[split:])
+    scale = math.prod(sizes) * multinomial(sum(pattern), pattern)
+    scale *= math.prod(rho**m for rho, m in zip(radii, pattern[1:]))
+    x = high_x[:, None] * low_x / scale
+    extract = np.stack([np.stack([x.real, x.imag], axis=-1), np.stack([-x.imag, x.real], axis=-1)], axis=2)
+    table = low, high * radii[split:], extract.reshape(len(high), 2 * len(low), 2), np.array(pattern)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _grid_values(mats: np.ndarray, index: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+    """eps of each tuple whose distinct arguments are mats[index[b]], read off the roots grid.
+
+    ``pattern`` is their multiplicities m_1 <= ... <= m_r, in the order of
+    ``index``'s columns.  With U_j = A_j / max|A_j|, det(sum_j s_j U_j) is
+    sum_a C(N; a) eps(U^a) prod_j s_j^(a_j).  With s_1 = 1 and each other
+    s_j on a circle through the (m_j + 1)-th roots of unity, the sum of
+    X det(sum_j s_j U_j) over the grid (``_grid_table``) keeps every
+    exponent a with a_j = m_j mod (m_j + 1) for j >= 2.  Any such a other
+    than m has some a_j >= 2 m_j + 1 >= m_j + m_1 + 1, which leaves
+    a_1 < 0, so the sum is eps(U^m) alone.  As in the +-1 kernel, each slice of tuples
+    forms its low-table combinations by one matmul, every stacked ``det``
+    call takes at most 2^8 matrices, and every operation acts on each tuple
+    alone.
+    """
+    low, high, extract, powers = _grid_table(pattern, _SUBSET_LOW_BITS)
+    g, split = low.shape
+    r, n = len(pattern), mats.shape[-1]
+    per_slice = max(1, (1 << _SUBSET_LOW_BITS) // g)
+    weights = low
+    if split < r:  # the low table beside one high point at a time
+        weights = np.empty((g, r), dtype=np.complex128)
+        weights[:, :split] = low
+    parts = []
+    for start in range(0, len(index), per_slice):
+        part = mats[index[start : start + per_slice]]
+        rows = len(part)
+        norms = np.abs(part).max(axis=(2, 3))
+        unit = part / (norms if norms.all() else np.where(norms == 0.0, 1.0, norms))[:, :, None, None]
+        unit = unit.reshape(rows, r, n * n)
+        acc = 0.0
+        for shift, x in zip(high, extract):
+            if split < r:
+                weights[:, split:] = shift
+            sums = (weights @ unit).reshape(-1, n, n)
+            # a lone n <= 3 matrix goes in a stack of two, so it rounds as inside
+            # a larger stack (see ``matrices.det_leibniz``)
+            dets = det(sums) if len(sums) > 1 or n > 3 else det(np.concatenate([sums, sums]))[:1]
+            # X det in real arithmetic, tuple by tuple: numpy's complex product
+            # rounds differently in its vector loop, whose reach depends on
+            # how many tuples share the slice
+            acc += dets.view(np.float64).reshape(rows, 1, 2 * g) @ x
+        acc *= (norms**powers).prod(axis=1)[:, None, None]
+        parts.append(acc)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out.view(np.complex128).ravel()
+
+
+def _row_plan(stack: np.ndarray) -> Optional[tuple[tuple[int, ...], list[int]]]:
+    """(pattern, first position of each distinct argument) of one tuple whose roots grid pays.
+
+    Arguments are equal when their bytes are; the distinct ones are listed
+    by multiplicity, then by first position.  Equal arguments have equal
+    first entries, so those bound the multiplicities from above; merging
+    runs never makes the grid larger, so when the first entries' runs do
+    not pay, the arguments' own do not either.
+    """
+    firsts = stack[:, 0, 0].tolist()
+    distinct = set(firsts)
+    if len(distinct) == len(firsts) or not _roots_grid_pays(tuple(sorted(map(firsts.count, distinct)))):
+        return None
+    places: dict[bytes, list[int]] = {}
+    for k, m in enumerate(stack):
+        places.setdefault(m.tobytes(), []).append(k)
+    runs = sorted(places.values(), key=len)
+    pattern = tuple(map(len, runs))
+    if len(runs) == len(stack) or not _roots_grid_pays(pattern):
+        return None
+    return pattern, [run[0] for run in runs]
+
+
+def _candidate_rows(batch: np.ndarray) -> list[int]:
+    """The rows of a validated (B, N, N, N) batch whose roots grid may pay.
+
+    A matrix's key is a position-weighted sum of its 64-bit words, so equal
+    matrices have equal keys; each tuple's runs of equal sorted keys bound
+    its multiplicities from above.  Keys shared by distinct matrices only
+    merge runs, which never makes the grid larger, so no row whose grid
+    pays is missed.
+    """
+    b, n = batch.shape[:2]
+    keys = np.ascontiguousarray(batch).reshape(b, n, -1).view(np.int64) @ np.arange(1, 2 * n * n + 1)
+    keys.sort(axis=1)
+    # bit i of a row's code is set when its sorted keys i and i + 1 are equal
+    codes = ((keys[:, 1:] == keys[:, :-1]) @ (1 << np.arange(n - 1))).tolist()
+
+    def runs(code: int) -> tuple[int, ...]:
+        cuts = [0, *(i + 1 for i in range(n - 1) if not code >> i & 1), n]
+        return tuple(sorted(end - start for start, end in zip(cuts, cuts[1:])))
+
+    paying = {code for code in set(codes) if code and _roots_grid_pays(runs(code))}
+    return [row for row, code in enumerate(codes) if code in paying] if paying else []
+
+
+def _default_values(batch: np.ndarray) -> np.ndarray:
+    """The values of a validated batch by the default kernel.
+
+    Tuples with repeated arguments whose roots grid pays are taken on it,
+    one ``_grid_values`` call per multiplicity pattern; the rest, every
+    all-distinct tuple among them, on the +-1 table.
+    """
+    b, n = batch.shape[:2]
+    groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    for row in _candidate_rows(batch):
+        plan = _row_plan(batch[row])
+        if plan:
+            rows, index = groups.setdefault(plan[0], ([], []))
+            rows.append(row)
+            index.append([row * n + k for k in plan[1]])
+    if not groups:
+        return _subset_sum_values(batch)
+    out = np.empty(b, dtype=np.complex128)
+    mats = batch.reshape(-1, n, n)
+    on_roots: list[int] = []
+    for pattern, (rows, index) in groups.items():
+        out[rows] = _grid_values(mats, np.array(index), pattern)
+        on_roots += rows
+    if len(on_roots) < b:
+        rest = np.delete(np.arange(b), on_roots)
+        out[rest] = _subset_sum_values(batch[rest])
+    return out
+
+
 @lru_cache(maxsize=16)
 def _cycle_plan(n: int) -> Callable[[np.ndarray], complex]:
     """sum_sigma sgn(sigma) prod_{cycles c of sigma} Tr(c), compiled once per n."""
@@ -243,7 +439,12 @@ def _kernel(name: str, n: int) -> Callable[[np.ndarray], np.ndarray]:
 def _engine(name: str) -> Callable[[Sequence], PolydetResult]:
     def run(mats: Sequence) -> PolydetResult:
         n, stack = validate_matrix_tuple(mats)
-        return PolydetResult(complex(_kernel(name, n)(stack[None])[0]), name, n)
+        kernel = _kernel(name, n)
+        if kernel is _subset_sum_values and (plan := _row_plan(stack)):
+            pattern, firsts = plan
+            value = _grid_values(stack, np.array([firsts]), pattern)[0]
+            return PolydetResult(complex(value), name, n, "roots")
+        return PolydetResult(complex(kernel(stack[None])[0]), name, n)
 
     run.__name__ = run.__qualname__ = f"polydet_{name}"
     return run
@@ -279,26 +480,71 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
         _kernel(name, 0)  # an unknown name still raises
         return np.empty(0, dtype=np.complex128)
     n, batch = validate_matrix_tuple(tuples, batched=True)
-    return _kernel(name, n)(batch)
+    kernel = _kernel(name, n)
+    return _default_values(batch) if kernel is _subset_sum_values else kernel(batch)
+
+
+@lru_cache(maxsize=16)
+def _composition_table(n: int, r: int):
+    """The compositions of n into r parts, in ``compositions`` order, for ``det_of_sum``.
+
+    Returns (weights, rows, signs, grids): the (C,) float multinomial of each
+    composition; its repeated tuple as summand indices, row by row as
+    ``np.repeat`` spells it; the positions of the compositions whose roots
+    grid does not pay; and, for each multiplicity pattern whose grid pays,
+    (pattern, positions, order), where order[i] lists the summands with a
+    non-zero part by part and then index, as ``polydet`` orders the
+    distinct arguments of the repeated tuple.
+    """
+    comps = np.array(list(compositions(n, r)), dtype=np.intp).reshape(-1, r)
+    weights = np.array([float(multinomial(n, comp)) for comp in comps.tolist()])
+    rows = np.repeat(np.tile(np.arange(r), len(comps)), comps.ravel()).reshape(-1, n)
+    signs: list[int] = []
+    groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    for position, comp in enumerate(comps.tolist()):
+        order = sorted((j for j in range(r) if comp[j]), key=comp.__getitem__)
+        pattern = tuple(comp[j] for j in order)
+        if _roots_grid_pays(pattern):
+            positions, orders = groups.setdefault(pattern, ([], []))
+            positions.append(position)
+            orders.append(order)
+        else:
+            signs.append(position)
+    grids = [(pattern, np.array(positions), np.array(orders)) for pattern, (positions, orders) in groups.items()]
+    signs = np.array(signs, dtype=np.intp)
+    for a in (weights, rows, signs):
+        a.flags.writeable = False
+    return weights, rows, signs, grids
 
 
 def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
 
     Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over all
-    compositions of N = matrix dimension into r non-negative parts.  The r
-    summands are validated once; the repeated tuples of the compositions
-    are row selections of that stack and go to the engine's kernel in
-    batches of at most 2^8 matrices, so memory stays that of the kernel's
-    own slices however many compositions there are.
+    compositions of N = matrix dimension into r non-negative parts, as a
+    running sum in ``compositions`` order; each composition's value is the
+    engine's own value on its repeated tuple.  The r summands are validated
+    once and the compositions come from a table cached per (N, r).  With
+    the default engine, the compositions whose roots grid pays are taken
+    pattern by pattern, each on its own grid with its own extraction row
+    (never read off one shared transform of the summands, which would make
+    the sum equal det(sum A_k) by construction).  The other repeated tuples
+    are row selections of the summand stack and go to the engine's kernel
+    in batches of at most 2^8 matrices.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
-    comps = compositions(n, r)
-    total = 0.0 + 0.0j
-    while group := list(itertools.islice(comps, max(1, (1 << _SUBSET_LOW_BITS) // n))):
-        values = kernel(stack[np.array([np.repeat(np.arange(r), comp) for comp in group])])
-        for comp, value in zip(group, values.tolist()):
-            total += multinomial(n, comp) * value
-    return total
+    weights, rows, positions, grids = _composition_table(n, r)
+    values = np.empty(len(weights), dtype=np.complex128)
+    if kernel is _subset_sum_values:
+        for pattern, where, order in grids:
+            values[where] = _grid_values(stack, order, pattern)
+    else:
+        positions = np.arange(len(weights))
+    per_batch = max(1, (1 << _SUBSET_LOW_BITS) // n)
+    for start in range(0, len(positions), per_batch):
+        picked = positions[start : start + per_batch]
+        values[picked] = kernel(stack[rows[picked]])
+    # a running sum in composition order adds the terms as a loop of += would
+    return complex(np.cumsum(weights * values)[-1])

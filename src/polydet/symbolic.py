@@ -126,6 +126,8 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     labels = tuple(str(ell) for ell in labels)
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
+    if "" in labels:
+        raise ValueError(f"label {labels.index('') + 1} of {n} is empty")
 
     def spell(cycle: tuple[int, ...]) -> Word:
         return canonicalize([labels[i] for i in cycle])
@@ -251,18 +253,28 @@ def render(expansion: TraceExpansion, format: str = "text") -> str:
 
 
 def parse_expansion(text) -> TraceExpansion:
-    """Inverse of render(..., 'json'); normalizes words and term order."""
+    """Inverse of render(..., 'json'); normalizes words and term order.
+
+    Each word must be a list of labels, and each term's words must have n
+    letters in all; a term that breaks either raises ValueError naming it.
+    """
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
     n = int(obj["n"])
     spelled: dict[Word, tuple[int, Word]] = {}
     coefficients: dict[tuple, Fraction] = {}  # the (num, den) spelling -> its value
     acc: dict[tuple[Word, ...], Fraction] = {}
-    for entry in obj["terms"]:
+    for k, entry in enumerate(obj["terms"]):
         spelling = tuple(entry["coef"])
         coef = coefficients.get(spelling)
         if coef is None:
             num, den = spelling
             coef = coefficients[spelling] = Fraction(int(num), int(den))
-        words = _sorted_words(map(tuple, entry["words"]), spelled, canonicalize)
+        listed = entry["words"]
+        if str in map(type, listed):
+            raise ValueError(f"term {k}: a word must be a list of labels, got {listed!r}")
+        words = _sorted_words(map(tuple, listed), spelled, canonicalize)
+        letters = sum(map(len, words))
+        if letters != n:
+            raise ValueError(f"term {k}: word lengths sum to {letters}, not n = {n}")
         acc[words] = acc[words] + coef if words in acc else coef
     return _merged(n, acc)

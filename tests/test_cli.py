@@ -51,6 +51,17 @@ def test_compute_repeated_file_gives_determinant(capsys, tmp_path):
     payload = json.loads(out)
     value = complex(payload["re"], payload["im"])
     assert abs(value - np.linalg.det(m)) < 1e-9
+    assert payload["grid"] == "roots"
+
+
+def test_compute_names_the_grid(capsys, tmp_path, two_files):
+    # distinct arguments take the +-1 sign table; eps(A, A, A, B) takes the
+    # roots grid (4 determinants, against 8 on the table)
+    _, out = run_cli(capsys, "compute", *two_files)
+    assert json.loads(out)["grid"] == "signs"
+    a, b = (write_matrix(tmp_path / f"{k}.json", random_matrix(4, k)) for k in (1, 2))
+    _, out = run_cli(capsys, "compute", a, a, a, b)
+    assert json.loads(out)["grid"] == "roots"
 
 
 def test_compute_engine_names_round_trip(capsys, two_files):
@@ -177,6 +188,8 @@ def test_verify_corrupted_engine_exits_1(capsys, monkeypatch):
         (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["bench", "--n", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["anomaly", "fields_n3.json", "couplings.json", "--seed", "-7"], "--seed must be >= 0, got -7"),
+        (["expand", "--n", "2", "--labels", "A,"], "label 2 of 2 is empty"),
+        (["expand", "--n", "3", "--labels", ",B,C"], "label 1 of 3 is empty"),
     ],
 )
 def test_runs_that_would_check_nothing_exit_2_naming_the_argument(capsys, argv, message):

@@ -22,6 +22,7 @@ from polydet.combinatorics import (
 from polydet.engines import (
     DEFAULT_ENGINE,
     ENGINES,
+    PolydetResult,
     det_of_sum,
     polydet,
     polydet_many,
@@ -726,7 +727,9 @@ def test_polydet_many_det_calls_stay_in_slices(low_bits, monkeypatch):
 
 
 def test_det_of_sum_batches_the_compositions(monkeypatch):
-    # every composition's 2^(N-1) determinants, in stacked calls of at most 2^8
+    # each composition's own determinants, in stacked calls of at most 2^8:
+    # prod_{j >= 2} (m_j + 1) on its roots grid when that is at most half of
+    # 2^(N-1), else the 2^(N-1) of the +-1 table (2016 for all 126 on the table)
     taken = []
 
     def counting_det(stack):
@@ -736,7 +739,12 @@ def test_det_of_sum_batches_the_compositions(monkeypatch):
     monkeypatch.setattr(engines_module, "det", counting_det)
     mats = rand_tuple(5, 3600)
     det_of_sum(mats)
-    assert sum(taken) == math.comb(5 + 5 - 1, 5 - 1) * 2**4
+    expected = 0
+    for comp in compositions(5, 5):
+        parts = sorted(p for p in comp if p)
+        grid = math.prod(p + 1 for p in parts[1:])
+        expected += grid if 2 * grid <= 2**4 else 2**4
+    assert sum(taken) == expected == 1241
     assert max(taken) <= 256 and len(taken) <= 12
 
 
@@ -751,3 +759,139 @@ def test_det_of_sum_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# --- roots-of-unity grid for repeated arguments --------------------------------
+
+
+def multiplicity_patterns(n, smallest=1):
+    """Every way to split n arguments into distinct ones, as ascending multiplicities."""
+    if n == 0:
+        yield ()
+        return
+    for m in range(smallest, n + 1):
+        for rest in multiplicity_patterns(n - m, m):
+            yield (m,) + rest
+
+
+def grid_pays(pattern):
+    # prod_{j >= 2} (m_j + 1) determinants, against half of the 2^(N-1) of the +-1 table
+    return 2 * math.prod(m + 1 for m in pattern[1:]) <= 2 ** (sum(pattern) - 1)
+
+
+def repeated_tuple(rng, pattern, n):
+    """A shuffled tuple of random distinct matrices repeated by ``pattern``; each a fresh copy."""
+    distinct = rng.uniform(-1, 1, (len(pattern), n, n)) + 1j * rng.uniform(-1, 1, (len(pattern), n, n))
+    mats = [distinct[j].copy() for j, m in enumerate(pattern) for _ in range(m)]
+    return [mats[k] for k in rng.permutation(n)]
+
+
+def test_multiplicity_patterns_count_the_partitions():
+    assert [len(list(multiplicity_patterns(n))) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_multiplicity_pattern_agrees_with_volume_and_trace_formula(n):
+    rng = np.random.default_rng([4100, n])
+    for pattern in multiplicity_patterns(n):
+        for spread in (False, True):
+            mats = repeated_tuple(rng, pattern, n)
+            if spread:  # each distinct argument at its own scale, from 1e-3 to 1e3
+                scales = {m.tobytes(): 10.0 ** rng.uniform(-3, 3) for m in mats}
+                mats = [m * scales[m.tobytes()] for m in mats]
+            got = polydet(mats)
+            assert got.grid == ("roots" if grid_pays(pattern) else "signs")
+            for name in ("volume", "trace_formula"):
+                ref = polydet(mats, name).value
+                assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref)), (pattern, spread, name)
+
+
+@pytest.mark.parametrize("n", (8, 12, 16))
+def test_all_but_one_argument_repeated_is_the_trace_of_the_adjugate(n, monkeypatch):
+    # eps(A, ..., A, B) = det A Tr(A^-1 B) / N, read off N determinants on the
+    # roots grid (pattern (1, N - 1)) in place of 2^(N-1)
+    rng = np.random.default_rng([4200, n])
+    a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
+    b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    expected = np.linalg.det(a) * np.trace(np.linalg.solve(a, b)) / n
+    taken = []
+
+    def counting_det(stack):
+        taken.append(len(stack))
+        return det(stack)
+
+    monkeypatch.setattr(engines_module, "det", counting_det)
+    got = polydet([a] * (n - 1) + [b])
+    assert got.grid == "roots" and sum(taken) == n
+    assert abs(got.value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("low_bits", (1, 3, 8))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_polydet_many_rows_with_repeated_arguments_equal_single_calls(n, low_bits, monkeypatch):
+    # rows of every pattern, two of each so that a pattern's grid takes a stack of
+    # several tuples (at n <= 3 a lone Leibniz determinant rounds differently),
+    # among all-distinct rows, a zero argument and an exact copy of a row
+    monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
+    rng = np.random.default_rng([4300, n, low_bits])
+    rows = [repeated_tuple(rng, pattern, n) for pattern in multiplicity_patterns(n) for _ in range(2)]
+    rows[1][0] = rows[1][0] * 0.0
+    rows.append([m.copy() for m in rows[-1]])
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    got = polydet_many(np.array(rows))
+    singles = [polydet(row) for row in rows]
+    assert all(got[k] == single.value for k, single in enumerate(singles))
+    assert {single.grid for single in singles} == {"roots", "signs"}
+
+
+def test_matrices_that_share_a_key_are_told_apart():
+    # batches sort tuples by a weighted sum of each matrix's 64-bit words; a
+    # matrix changed in two words so that the sum stays put must still count as
+    # distinct, in a batch as in a single call
+    rng = np.random.default_rng(4400)
+    n = 4
+    a = rng.uniform(1, 2, (n, n)) + 1j * rng.uniform(1, 2, (n, n))
+    words = a.view(np.int64).ravel().copy()
+    i, j = 3, 10
+    words[i] += j + 1
+    words[j] -= i + 1
+    b = words.view(np.complex128).reshape(n, n)
+    assert not np.array_equal(a, b)
+    weights = np.arange(1, 2 * n * n + 1)
+    assert weights @ a.view(np.int64).ravel() == weights @ words
+    rows = [[a, b, b, b], [b, b, b, b], [a, a, b, b]]
+    got = polydet_many(np.array(rows))
+    singles = [polydet(row) for row in rows]
+    assert [s.grid for s in singles] == ["roots", "roots", "roots"]
+    assert all(got[k] == s.value for k, s in enumerate(singles))
+    assert abs(singles[0].value - polydet_volume(rows[0]).value) <= 1e-12 * abs(singles[0].value)
+
+
+def test_distinct_tuples_stay_on_the_sign_table():
+    for n in range(1, 8):
+        got = polydet(rand_tuple(n, 4500 + n))
+        assert got.grid == "signs"
+    # a result built with three fields, as callers did before the grid was named
+    assert PolydetResult(1.0, "subset_sum", 2).grid == "signs"
+    assert polydet(rand_tuple(3, 4510), "volume").grid == "signs"
+
+
+def test_a_wrong_extraction_row_fails_det_of_sum_identity(monkeypatch):
+    # each composition of det_of_sum reads its own value off its own grid; with
+    # a wrong extraction row, the property that checks the sum must fail
+    from polydet.verify import run_property_suite
+
+    table = engines_module._grid_table
+
+    def shifted(pattern, k):
+        # each extraction row moved on by one grid point: it reads another coefficient
+        low, high, extract, powers = table(pattern, k)
+        return low, high, np.roll(extract, 2, axis=1), powers
+
+    def det_of_sum_results():
+        results = run_property_suite(seed=3, trials=2, n_values=(4, 5))
+        return [r for r in results if r.name == "det_of_sum_identity"]
+
+    assert all(r.passed for r in det_of_sum_results())
+    monkeypatch.setattr(engines_module, "_grid_table", shifted)
+    assert not any(r.passed for r in det_of_sum_results())

@@ -298,7 +298,7 @@ def json_payload_reference(expansion):
     [
         expand_polydet(4, ["\u00e9", '"q"', "a\\b", "Z"]),
         expand_polydet(3, ["B", "A", "B"]),
-        parse_expansion('{"n": 2, "terms": [{"coef": [3, -6], "words": [[2, 1], [1]]}, {"coef": ["4", "1"], "words": []}]}'),
+        parse_expansion('{"n": 3, "terms": [{"coef": [3, -6], "words": [[2, 1], [1]]}, {"coef": ["4", "1"], "words": [[1, 1, 2]]}]}'),
         TraceExpansion(2, ()),
     ],
     ids=("escaped-labels", "repeated-labels", "integer-labels", "no-terms"),
@@ -381,12 +381,12 @@ def test_parse_expansion_canonicalizes_sums_and_drops_zeros():
     blob = (
         '{"n": 3, "terms": ['
         '{"coef": ["2", "8"], "words": [["C", "A", "B"]]},'
-        '{"coef": ["1", "5"], "words": [["B", "A"]]},'
+        '{"coef": ["1", "5"], "words": [["B", "A"], ["C"]]},'
         '{"coef": ["-1", "3"], "words": [["C", "B"], ["A"]]},'
         '{"coef": ["0", "7"], "words": [["B", "A", "C"]]},'
         '{"coef": ["1", "4"], "words": [["B", "C", "A"]]},'
         '{"coef": ["1", "1"], "words": [["C"], ["B"], ["A"]]},'
-        '{"coef": ["-1", "5"], "words": [["A", "B"]]}]}'
+        '{"coef": ["-1", "5"], "words": [["C"], ["A", "B"]]}]}'
     )
     expected = TraceExpansion(
         3,
@@ -399,6 +399,28 @@ def test_parse_expansion_canonicalizes_sums_and_drops_zeros():
     parsed = parse_expansion(blob)
     assert parsed == expected
     assert [type(t.coefficient) for t in parsed.terms] == [Fraction] * 3
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        # a word spelled as one JSON string would read as its letters, Tr(A*B)
+        ([{"coef": ["1", "1"], "words": ["AB"]}], "term 0: a word must be a list of labels, got ['AB']"),
+        ([{"coef": ["1", "2"], "words": [["A"], ["B"]]}, {"coef": ["1", "1"], "words": [["A", "B", "C"]]}],
+         "term 1: word lengths sum to 3, not n = 2"),
+        ([{"coef": ["1", "1"], "words": [["A"]]}], "term 0: word lengths sum to 1, not n = 2"),
+    ],
+    ids=("string-word", "too-many-letters", "too-few-letters"),
+)
+def test_parse_expansion_rejects_a_term_that_is_not_n_letters_of_labels(terms, message):
+    with pytest.raises(ValueError) as info:
+        parse_expansion(json.dumps({"n": 2, "terms": terms}))
+    assert str(info.value) == message
+
+
+def test_expand_rejects_an_empty_label():
+    with pytest.raises(ValueError, match="label 2 of 3 is empty"):
+        expand_polydet(3, ["A", "", "C"])
 
 
 def test_expansion_term_order_is_deterministic():
