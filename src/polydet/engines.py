@@ -13,21 +13,20 @@ arguments coincide.  The engines compute it by these routes:
                       (1/N!) sum sgn(sigma) sgn(mu) prod_k A_k[sigma(k), mu(k)],
                       as volume's sum with Leibniz determinants (the mu-sums),
                       32 sigma at a time
-    subset_sum        inclusion-exclusion over +-1 sign vectors delta
-                      with delta_1 = +1 fixed (the pair delta, -delta gives
-                      equal terms), 2^(N-1) determinants:
-                      1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k),
-                      on arguments scaled to unit max-abs entry, with the
-                      determinants taken 2^8 at a time by one stacked ``det``;
-                      a tuple whose r distinct arguments repeat m_1 <= ... <= m_r
-                      times is read off a mixed-radix roots-of-unity grid
-                      instead, s_1 = 1 and s_j = (m_j/m_1) w_j with w_j on
-                      the (m_j+1)-th roots of unity:
+    subset_sum        a mixed-radix roots-of-unity grid: for r distinct
+                      arguments repeated m_1 <= ... <= m_r times, s_1 = 1
+                      and s_j = (m_j/m_1) w_j with w_j on the (m_j+1)-th
+                      roots of unity,
                       C(N; m) eps(U^m) = mean_s prod_{j>=2} s_j^(-m_j) det(sum_j s_j U_j),
-                      prod_{j>=2} (m_j+1) determinants, whenever that is at
-                      most half of 2^(N-1) (a complex combination costs
-                      about twice a +-1 one); with every m_j = 1 the grid is
-                      the sign table itself
+                      prod_{j>=2} (m_j+1) determinants, on arguments scaled
+                      to unit max-abs entry, taken 2^8 at a time by one
+                      stacked ``det``.  With every m_j = 1 the grid is the
+                      +-1 sign table with delta_1 = +1 fixed (the pair
+                      delta, -delta gives equal terms), 2^(N-1) determinants:
+                      1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k);
+                      a tuple whose grid would take more than half of
+                      2^(N-1) (a complex combination costs about twice a
+                      +-1 one) runs as that all-ones pattern
     trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
                       Tr(A_{i_1} ... A_{i_L}),
@@ -47,13 +46,12 @@ returns their B values: ``subset_sum`` evaluates the whole batch in stacked
 kernel on each row.  ``polydet`` validates one tuple and runs it as a batch
 of one; ``polydet_many`` validates a whole batch once.  With the default
 engine both find repeated arguments by exact equality of their bytes (a
-batch first sorts each tuple's integer keys of its matrices, so only rows
-whose grid may pay are checked one by one) and take each multiplicity
-pattern's rows on its roots grid; all-distinct tuples keep the sign table
-and its values bit for bit.  ``det_of_sum`` validates its summands once and
-takes its compositions from a table cached per (N, r): each composition
-whose grid pays is read off its own grid, the others go to the kernel in
-batches of at most 2^8 matrices.
+batch of four or more tuples first sorts each tuple's integer keys of its
+matrices, so only rows whose grid may pay are checked one by one) and run
+one grid kernel per multiplicity pattern; every other tuple, all-distinct
+or not, takes the all-ones pattern over its own argument positions.
+``det_of_sum`` validates its summands once and takes its compositions from
+a table cached per (N, r), each on its own grid.
 """
 
 from __future__ import annotations
@@ -98,8 +96,10 @@ __all__ = [
 # 256 LU determinants a call amortize LAPACK's per-call cost
 _LEIBNIZ_CHUNK = 32
 _LU_CHUNK = 256
-# subset_sum: free signs in the sign-combination table, so one chunk is 2^8 matrices
+# subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
+# det_of_sum: most compositions C(N + r - 1, r - 1) in one call; 10^4 take about 1 s at N, r near 8
+_DET_OF_SUM_MAX_COMPOSITIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -141,84 +141,6 @@ def _row_mixed_sum(stack: np.ndarray, det_of: Callable[[np.ndarray], np.ndarray]
     return complex(total) / math.factorial(n)
 
 
-@lru_cache(maxsize=64)
-def _subset_tables(n: int, k: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The sign tables of the subset-sum kernel for N = n with k free table bits.
-
-    Returns (table, high).  Row s of the (2^k, n) table is the sign vector
-    delta with delta_(1+i) = -1 for each bit i set in s and +1 in every
-    other slot.  ``high`` has one entry for each subset of the other
-    n - 1 - k free arguments: their indices in the tuple, and the (2^k,)
-    vector of prod(delta) over the table rows with those arguments' signs
-    flipped too.
-    """
-    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
-    table = np.ones((1 << k, n))
-    table[:, 1 : k + 1] -= 2 * bits
-    signs = table.prod(axis=1)
-    flipped = -signs
-    # the cached arrays are shared by every later call
-    table.flags.writeable = signs.flags.writeable = flipped.flags.writeable = False
-    rest = np.arange(n - 1 - k)
-    high = []
-    for mask in range(1 << len(rest)):
-        picked = np.flatnonzero(mask >> rest & 1)
-        high.append((k + 1 + picked, flipped if len(picked) % 2 else signs))
-    return table, high
-
-
-def _subset_sum_values(batch: np.ndarray) -> np.ndarray:
-    """Inclusion-exclusion over the +-1 sign vectors with the first sign fixed.
-
-    With U_k = A_k / max|A_k| and T = sum_k U_k, for each tuple of a
-    validated (B, N, N, N) batch,
-
-        eps = prod_k max|A_k| / (2^(N-1) N!)
-              * sum_{I subset of {2..N}} (-1)^|I| det(T - 2 sum_{i in I} U_i).
-
-    Summing prod(delta) det(sum_k delta_k U_k) over every delta in {+-1}^N
-    keeps only the part linear in each U_k, which is 2^N N! eps(U).  delta
-    and -delta give the same term, since both factors change by (-1)^N, so
-    delta_1 = +1 is fixed and 2^(N-1) determinants remain.  Dividing each
-    argument by its max-abs entry first (the value is multilinear) lets
-    arguments of very different size cancel as accurately as unit-scale
-    ones; an all-zero argument keeps norm 0 in the product, so its tuple
-    gives exactly 0.  The first k = min(N - 1, 8) free arguments give a
-    table of 2^k sign combinations, sum_j delta_j U_j, made by one real
-    ``matmul`` of the cached (2^k, N) sign table with the arguments' real
-    and imaginary parts.  Each subset of the other N - 1 - k subtracts
-    twice its sum from the whole table.  The batch is cut into slices of
-    2^(8 - k) tuples, so every stacked ``det`` call takes at most 2^8
-    matrices and memory is a few 2^8-matrix arrays at every n and B.
-    Every operation acts on each tuple alone, so a tuple's value does not
-    depend on the rest of its batch.
-    """
-    b, n = batch.shape[:2]
-    k = min(n - 1, _SUBSET_LOW_BITS)
-    table, high_masks = _subset_tables(n, k)
-    per_slice = (1 << _SUBSET_LOW_BITS) >> k
-    out = np.empty(b, dtype=np.complex128)
-    for start in range(0, b, per_slice):
-        part = batch[start : start + per_slice]
-        rows = len(part)
-        norms = np.abs(part).max(axis=(2, 3))
-        # an all-zero argument is divided by 1 and keeps its norm 0 in the product
-        unit = part / (norms if norms.all() else np.where(norms == 0.0, 1.0, norms))[:, :, None, None]
-        # low[:, s] = sum_j table[s, j] U_j, on the (re, im) pairs of the entries
-        low = (table @ unit.view(np.float64).reshape(rows, n, 2 * n * n)).view(np.complex128)
-        low = low.reshape(rows, 1 << k, n, n)
-        acc = 0.0
-        for picked, signs in high_masks:
-            chunk = low - 2.0 * unit[:, picked].sum(axis=1)[:, None] if len(picked) else low
-            acc += (signs * det(chunk.reshape(-1, n, n)).reshape(rows, 1 << k)).sum(axis=1)
-        out[start : start + rows] = acc * norms.prod(axis=1)
-    # a true division of every real and imaginary part; a complex division by a
-    # real number would multiply by its reciprocal, one more rounding
-    parts = out.view(np.float64)
-    parts /= 2 ** (n - 1) * math.factorial(n)
-    return out
-
-
 @lru_cache(maxsize=256)
 def _roots_grid_pays(pattern: tuple[int, ...]) -> bool:
     """Whether the roots grid of the ascending multiplicities ``pattern`` takes
@@ -239,7 +161,7 @@ def _roots(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _grid_table(pattern: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+def _grid_table(pattern: tuple[int, ...], k: int) -> tuple:
     """The roots grid of the ascending multiplicities ``pattern``, in tables of at most 2^k points.
 
     A point is s = (1, s_2, ..., s_r) with s_j = rho_j w_j, w_j one of the
@@ -248,78 +170,110 @@ def _grid_table(pattern: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
     terms C(N; a) prod_j s_j^(a_j) of the grid's polynomial at a = m, so the
     extraction cancels little; on the unit circle, terms 2^N / C(N; m)
     times larger could cancel.  A point's extraction weight is
-    X = prod_{j >= 2} w_j^(-m_j) / (G C(N; m) prod_{j >= 2} rho_j^(m_j)),
-    and w_j^(-m_j) = w_j since w_j^(m_j + 1) = 1.  The leading s_j whose
-    points number at most 2^k make the low table, with s_1 = 1 as its first
-    column; each point of the other, high s_j fills the other columns in
-    turn.  Returns (low, high, X, m): the (G_low, 1 + l) low table, the
-    (G_high, r - 1 - l) high points, and for each high point the extraction
-    row over the low table as the (2 G_low, 2) real matrix that maps the
-    (re, im) pairs of G_low determinants to those of their X-weighted sum.
+    X = prod_{j >= 2} w_j^(-m_j) / scale with scale = G C(N; m)
+    prod_{j >= 2} rho_j^(m_j), and w_j^(-m_j) = w_j since w_j^(m_j + 1) = 1.
+    With every m_j = 1 the points are the +-1 sign vectors with s_1 = +1
+    and scale = 2^(N-1) N!: inclusion-exclusion over subsets.
+
+    The leading s_j whose points number at most 2^k make the low table, its
+    other s_j at their first point (w_j = 1); each high point is stored as
+    its shift from that first point.  scale X is the product of a low and a
+    high point's prod_j w_j.  Returns (low, high, low_x, high_x, m, scale):
+    the (G_low, K) low table and the (G_high, K) shifts, real parts then,
+    when any is non-zero, imaginary parts (K = r or 2 r); the (2 G_low, 2)
+    real matrix that maps the (re, im) pairs of G_low determinants to those
+    of their sum weighted by the low points' prod_j w_j, and for each high
+    point the (2, 2) real matrix of its own factor, whose entries are all
+    exact (+-1 and 0 on the sign grid); m; and scale, by which the kernel
+    divides once.
     """
     sizes = [m + 1 for m in pattern[1:]]
     radii = [m / pattern[0] for m in pattern[1:]]
     split = 0
     while split < len(sizes) and math.prod(sizes[: split + 1]) <= 1 << k:
         split += 1
-    low, low_x = _roots(sizes[:split])
-    low = np.hstack([np.ones((len(low), 1)), low * radii[:split]])
-    high, high_x = _roots(sizes[split:])
-    scale = math.prod(sizes) * multinomial(sum(pattern), pattern)
-    scale *= math.prod(rho**m for rho, m in zip(radii, pattern[1:]))
-    x = high_x[:, None] * low_x / scale
-    extract = np.stack([np.stack([x.real, x.imag], axis=-1), np.stack([-x.imag, x.real], axis=-1)], axis=2)
-    table = low, high * radii[split:], extract.reshape(len(high), 2 * len(low), 2), np.array(pattern)
+    low_points, low_x = _roots(sizes[:split])
+    high_points, high_x = _roots(sizes[split:])
+    high_points = high_points * radii[split:]
+    low = np.empty((len(low_points), len(pattern)), dtype=np.complex128)
+    low[:, 0] = 1.0
+    low[:, 1 : split + 1] = low_points * radii[:split]
+    low[:, split + 1 :] = high_points[0]
+    high = np.zeros((len(high_points), len(pattern)), dtype=np.complex128)
+    high[:, split + 1 :] = high_points - high_points[0]
+    # (re, im) @ [[x.re, x.im], [-x.im, x.re]] is the (re, im) of (re + i im) x
+    low_x, high_x = (
+        np.stack([np.stack([x.real, x.imag], -1), np.stack([-x.imag, x.real], -1)], -2) for x in (low_x, high_x)
+    )
+    # real parts, then imaginary parts when a point is off the real axis
+    parts = 2 if low.imag.any() or high.imag.any() else 1
+    low, high = (np.hstack([a.real, a.imag][:parts]) for a in (low, high))
+    table = low, high, low_x.reshape(-1, 2), high_x, np.array(pattern)
     for a in table:
         a.flags.writeable = False
-    return table
+    scale = math.prod(sizes) * multinomial(sum(pattern), pattern)
+    return (*table, scale * math.prod(rho**m for rho, m in zip(radii, pattern[1:])))
 
 
-def _grid_values(mats: np.ndarray, index: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+def _grid_values(mats: np.ndarray, index: Optional[np.ndarray], pattern: tuple[int, ...]) -> np.ndarray:
     """eps of each tuple whose distinct arguments are mats[index[b]], read off the roots grid.
 
-    ``pattern`` is their multiplicities m_1 <= ... <= m_r, in the order of
-    ``index``'s columns.  With U_j = A_j / max|A_j|, det(sum_j s_j U_j) is
+    With ``index`` None, ``mats`` is a (B, r, n, n) batch and tuple b is
+    mats[b].  ``pattern`` is the multiplicities m_1 <= ... <= m_r of the
+    distinct arguments, in the order of ``index``'s columns.  With U_j = A_j / max|A_j|, det(sum_j s_j U_j) is
     sum_a C(N; a) eps(U^a) prod_j s_j^(a_j).  With s_1 = 1 and each other
     s_j on a circle through the (m_j + 1)-th roots of unity, the sum of
     X det(sum_j s_j U_j) over the grid (``_grid_table``) keeps every
     exponent a with a_j = m_j mod (m_j + 1) for j >= 2.  Any such a other
     than m has some a_j >= 2 m_j + 1 >= m_j + m_1 + 1, which leaves
-    a_1 < 0, so the sum is eps(U^m) alone.  As in the +-1 kernel, each slice of tuples
-    forms its low-table combinations by one matmul, every stacked ``det``
-    call takes at most 2^8 matrices, and every operation acts on each tuple
-    alone.
+    a_1 < 0, so the sum is eps(U^m) alone.  Dividing each argument by its
+    max-abs entry first (the value is multilinear) lets arguments of very
+    different size cancel as accurately as unit-scale ones; an all-zero
+    argument keeps norm 0 in the product, so its tuple gives exactly 0.
+
+    A slice of tuples forms its low table's combinations by one real
+    ``matmul`` of the table with the (re, im) pairs of the U_j's entries
+    (and of the i U_j's, on a grid off the real axis), then adds each high
+    point's shift to all of them.  A slice holds 2^8 / G_low tuples, so
+    every stacked ``det`` call takes at most 2^8 matrices and memory is a
+    few 2^8-matrix arrays at every n.  Every operation acts on each tuple
+    alone, so a tuple's value does not depend on the rest of its batch.
     """
-    low, high, extract, powers = _grid_table(pattern, _SUBSET_LOW_BITS)
-    g, split = low.shape
+    low, high, low_x, high_x, powers, scale = _grid_table(pattern, _SUBSET_LOW_BITS)
+    g, width = low.shape
     r, n = len(pattern), mats.shape[-1]
     per_slice = max(1, (1 << _SUBSET_LOW_BITS) // g)
-    weights = low
-    if split < r:  # the low table beside one high point at a time
-        weights = np.empty((g, r), dtype=np.complex128)
-        weights[:, :split] = low
     parts = []
-    for start in range(0, len(index), per_slice):
-        part = mats[index[start : start + per_slice]]
+    for start in range(0, len(mats if index is None else index), per_slice):
+        stop = start + per_slice
+        part = mats[start:stop] if index is None else mats.take(index[start:stop], axis=0)
         rows = len(part)
         norms = np.abs(part).max(axis=(2, 3))
+        # an all-zero argument is divided by 1 and keeps its norm 0 in the product
         unit = part / (norms if norms.all() else np.where(norms == 0.0, 1.0, norms))[:, :, None, None]
-        unit = unit.reshape(rows, r, n * n)
+        if width > r:
+            unit = np.concatenate([unit, 1j * unit], axis=1)
+        basis = unit.view(np.float64).reshape(rows, width, 2 * n * n)
+        low_sums = low @ basis
         acc = 0.0
-        for shift, x in zip(high, extract):
-            if split < r:
-                weights[:, split:] = shift
-            sums = (weights @ unit).reshape(-1, n, n)
-            # a lone n <= 3 matrix goes in a stack of two, so it rounds as inside
-            # a larger stack (see ``matrices.det_leibniz``)
-            dets = det(sums) if len(sums) > 1 or n > 3 else det(np.concatenate([sums, sums]))[:1]
+        for h, (shift, turn) in enumerate(zip(high, high_x)):
+            sums = low_sums + (shift @ basis)[:, None] if h else low_sums
+            sums = sums.view(np.complex128).reshape(-1, n, n)
+            # a lone 2 x 2 or 3 x 3 matrix goes in a stack of two, so it rounds as
+            # inside a larger stack (see ``matrices.det_leibniz``); 1 x 1 is exact
+            dets = det(np.concatenate([sums, sums]))[:1] if len(sums) == 1 and 1 < n <= 3 else det(sums)
             # X det in real arithmetic, tuple by tuple: numpy's complex product
             # rounds differently in its vector loop, whose reach depends on
-            # how many tuples share the slice
-            acc += dets.view(np.float64).reshape(rows, 1, 2 * g) @ x
-        acc *= (norms**powers).prod(axis=1)[:, None, None]
+            # how many tuples share the slice; the first high point's factor is 1
+            part = dets.view(np.float64).reshape(rows, 1, 2 * g) @ low_x
+            acc += part @ turn if h else part
+        # prod_j max|A_j|^(m_j), each m_j = 1 on the sign grid
+        acc *= (norms if r == n else norms**powers).prod(axis=1)[:, None, None]
         parts.append(acc)
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # a true division of every real and imaginary part; a complex division by a
+    # real number would multiply by its reciprocal, one more rounding
+    out /= scale
     return out.view(np.complex128).ravel()
 
 
@@ -360,41 +314,44 @@ def _candidate_rows(batch: np.ndarray) -> list[int]:
     keys.sort(axis=1)
     # bit i of a row's code is set when its sorted keys i and i + 1 are equal
     codes = ((keys[:, 1:] == keys[:, :-1]) @ (1 << np.arange(n - 1))).tolist()
-
-    def runs(code: int) -> tuple[int, ...]:
-        cuts = [0, *(i + 1 for i in range(n - 1) if not code >> i & 1), n]
-        return tuple(sorted(end - start for start, end in zip(cuts, cuts[1:])))
-
-    paying = {code for code in set(codes) if code and _roots_grid_pays(runs(code))}
+    paying = {code for code in set(codes) if code and _code_pays(n, code)}
     return [row for row, code in enumerate(codes) if code in paying] if paying else []
+
+
+@lru_cache(maxsize=1024)
+def _code_pays(n: int, code: int) -> bool:
+    """Whether the roots grid pays for the runs of N = n sorted keys whose bit i
+    of ``code`` says that keys i and i + 1 are equal."""
+    cuts = [0, *(i + 1 for i in range(n - 1) if not code >> i & 1), n]
+    return _roots_grid_pays(tuple(sorted(end - start for start, end in zip(cuts, cuts[1:]))))
 
 
 def _default_values(batch: np.ndarray) -> np.ndarray:
     """The values of a validated batch by the default kernel.
 
-    Tuples with repeated arguments whose roots grid pays are taken on it,
-    one ``_grid_values`` call per multiplicity pattern; the rest, every
-    all-distinct tuple among them, on the +-1 table.
+    One ``_grid_values`` call per multiplicity pattern: tuples with
+    repeated arguments whose roots grid pays are taken on it, the rest,
+    every all-distinct tuple among them, as pattern (1, ..., 1) over their
+    own argument positions, on the +-1 sign grid.
     """
     b, n = batch.shape[:2]
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    for row in _candidate_rows(batch):
+    # up to three rows are cheaper to plan one by one than to key and sort
+    for row in range(b) if b < 4 else _candidate_rows(batch):
         plan = _row_plan(batch[row])
         if plan:
             rows, index = groups.setdefault(plan[0], ([], []))
             rows.append(row)
             index.append([row * n + k for k in plan[1]])
     if not groups:
-        return _subset_sum_values(batch)
-    out = np.empty(b, dtype=np.complex128)
+        return _grid_values(batch, None, (1,) * n)
     mats = batch.reshape(-1, n, n)
-    on_roots: list[int] = []
+    rest = np.delete(np.arange(b), [row for rows, _ in groups.values() for row in rows])
+    groups[(1,) * n] = (rest, rest[:, None] * n + np.arange(n))
+    out = np.empty(b, dtype=np.complex128)
     for pattern, (rows, index) in groups.items():
-        out[rows] = _grid_values(mats, np.array(index), pattern)
-        on_roots += rows
-    if len(on_roots) < b:
-        rest = np.delete(np.arange(b), on_roots)
-        out[rest] = _subset_sum_values(batch[rest])
+        if len(rows):
+            out[rows] = _grid_values(mats, np.asarray(index), pattern)
     return out
 
 
@@ -418,7 +375,7 @@ def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.
 _TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
     "naive": (_rows(_naive_value), 6),
     "permutation_pair": (_rows(lambda stack: _row_mixed_sum(stack, det_leibniz, _LEIBNIZ_CHUNK)), 7),
-    "subset_sum": (_subset_sum_values, SUBSET_MAX_N),
+    "subset_sum": (_default_values, SUBSET_MAX_N),
     "trace_formula": (_rows(_trace_formula_value), 7),
     "volume": (_rows(lambda stack: _row_mixed_sum(stack, np.linalg.det, _LU_CHUNK)), 8),
 }
@@ -440,11 +397,14 @@ def _engine(name: str) -> Callable[[Sequence], PolydetResult]:
     def run(mats: Sequence) -> PolydetResult:
         n, stack = validate_matrix_tuple(mats)
         kernel = _kernel(name, n)
-        if kernel is _subset_sum_values and (plan := _row_plan(stack)):
-            pattern, firsts = plan
-            value = _grid_values(stack, np.array([firsts]), pattern)[0]
-            return PolydetResult(complex(value), name, n, "roots")
-        return PolydetResult(complex(kernel(stack[None])[0]), name, n)
+        if kernel is not _default_values:
+            return PolydetResult(complex(kernel(stack[None])[0]), name, n)
+        plan = _row_plan(stack)
+        if plan:
+            value = _grid_values(stack, np.array([plan[1]]), plan[0])[0]
+        else:  # the sign grid over the tuple's own positions
+            value = _grid_values(stack[None], None, (1,) * n)[0]
+        return PolydetResult(complex(value), name, n, "roots" if plan else "signs")
 
     run.__name__ = run.__qualname__ = f"polydet_{name}"
     return run
@@ -480,41 +440,38 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
         _kernel(name, 0)  # an unknown name still raises
         return np.empty(0, dtype=np.complex128)
     n, batch = validate_matrix_tuple(tuples, batched=True)
-    kernel = _kernel(name, n)
-    return _default_values(batch) if kernel is _subset_sum_values else kernel(batch)
+    return _kernel(name, n)(batch)
 
 
 @lru_cache(maxsize=16)
 def _composition_table(n: int, r: int):
     """The compositions of n into r parts, in ``compositions`` order, for ``det_of_sum``.
 
-    Returns (weights, rows, signs, grids): the (C,) float multinomial of each
+    Returns (weights, rows, grids): the (C,) float multinomial of each
     composition; its repeated tuple as summand indices, row by row as
-    ``np.repeat`` spells it; the positions of the compositions whose roots
-    grid does not pay; and, for each multiplicity pattern whose grid pays,
-    (pattern, positions, order), where order[i] lists the summands with a
-    non-zero part by part and then index, as ``polydet`` orders the
-    distinct arguments of the repeated tuple.
+    ``np.repeat`` spells it; and, for each multiplicity pattern,
+    (pattern, positions, order).  A composition whose roots grid pays has
+    the pattern of its non-zero parts, and order[i] lists those summands by
+    part and then index, as ``polydet`` orders the distinct arguments of
+    the repeated tuple; any other has pattern (1, ..., 1), and order[i] is
+    its repeated tuple's row.
     """
     comps = np.array(list(compositions(n, r)), dtype=np.intp).reshape(-1, r)
     weights = np.array([float(multinomial(n, comp)) for comp in comps.tolist()])
     rows = np.repeat(np.tile(np.arange(r), len(comps)), comps.ravel()).reshape(-1, n)
-    signs: list[int] = []
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    for position, comp in enumerate(comps.tolist()):
+    for position, (comp, row) in enumerate(zip(comps.tolist(), rows.tolist())):
         order = sorted((j for j in range(r) if comp[j]), key=comp.__getitem__)
         pattern = tuple(comp[j] for j in order)
-        if _roots_grid_pays(pattern):
-            positions, orders = groups.setdefault(pattern, ([], []))
-            positions.append(position)
-            orders.append(order)
-        else:
-            signs.append(position)
+        if not _roots_grid_pays(pattern):
+            pattern, order = (1,) * n, row
+        positions, orders = groups.setdefault(pattern, ([], []))
+        positions.append(position)
+        orders.append(order)
     grids = [(pattern, np.array(positions), np.array(orders)) for pattern, (positions, orders) in groups.items()]
-    signs = np.array(signs, dtype=np.intp)
-    for a in (weights, rows, signs):
+    for a in (weights, rows):
         a.flags.writeable = False
-    return weights, rows, signs, grids
+    return weights, rows, grids
 
 
 def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
@@ -525,26 +482,30 @@ def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     running sum in ``compositions`` order; each composition's value is the
     engine's own value on its repeated tuple.  The r summands are validated
     once and the compositions come from a table cached per (N, r).  With
-    the default engine, the compositions whose roots grid pays are taken
-    pattern by pattern, each on its own grid with its own extraction row
-    (never read off one shared transform of the summands, which would make
-    the sum equal det(sum A_k) by construction).  The other repeated tuples
-    are row selections of the summand stack and go to the engine's kernel
-    in batches of at most 2^8 matrices.
+    the default engine, the compositions are taken pattern by pattern, each
+    on its own grid with its own extraction row (never read off one shared
+    transform of the summands, which would make the sum equal det(sum A_k)
+    by construction).  With any other engine the repeated tuples are row
+    selections of the summand stack and go to the engine's kernel in
+    batches of 2^8 / N tuples.  More than 10^4 compositions,
+    C(N + r - 1, r - 1), raise ``GuardLimitError`` before any is listed.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
-    weights, rows, positions, grids = _composition_table(n, r)
+    count = math.comb(n + r - 1, r - 1)
+    if count > _DET_OF_SUM_MAX_COMPOSITIONS:
+        raise GuardLimitError(
+            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions, got {count} for n={n}, r={r}"
+        )
+    weights, rows, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)
-    if kernel is _subset_sum_values:
+    if kernel is _default_values:
         for pattern, where, order in grids:
             values[where] = _grid_values(stack, order, pattern)
     else:
-        positions = np.arange(len(weights))
-    per_batch = max(1, (1 << _SUBSET_LOW_BITS) // n)
-    for start in range(0, len(positions), per_batch):
-        picked = positions[start : start + per_batch]
-        values[picked] = kernel(stack[rows[picked]])
+        per_batch = max(1, (1 << _SUBSET_LOW_BITS) // n)
+        for start in range(0, len(weights), per_batch):
+            values[start : start + per_batch] = kernel(stack[rows[start : start + per_batch]])
     # a running sum in composition order adds the terms as a loop of += would
     return complex(np.cumsum(weights * values)[-1])

@@ -617,6 +617,33 @@ def test_subset_sum_shifted_vacuum_at_large_f0(f0):
     assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_rank_one_tuples_are_det_u_det_v_over_n_factorial(n):
+    # A_k = u_k v_k^T gives eps = det U det V / N!; from n = 10 on the sign grid
+    # adds its high points as shifts of the low table
+    rng = np.random.default_rng([3450, n])
+    u, v = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    got = polydet([np.outer(u[:, k], v[:, k]) for k in range(n)])
+    expected = np.linalg.det(u) * np.linalg.det(v) / math.factorial(n)
+    assert got.grid == "signs"
+    assert abs(got.value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("k", (1, 3, 8))
+def test_sign_grid_is_exact(k):
+    # the all-distinct grid: points exactly +-1 with s_1 = +1, extraction rows in
+    # {-1, 0, 1} and the scale 2^(N-1) N! left to one division
+    for n in range(1, 11):
+        low, high, low_x, high_x, powers, scale = engines_module._grid_table((1,) * n, k)
+        # no imaginary columns: every imaginary part is exactly 0
+        assert low.shape[1] == high.shape[1] == n
+        points = (low[:, None] + high[None]).reshape(-1, n)
+        assert np.isin(points, (-1.0, 1.0)).all() and (points[:, 0] == 1.0).all()
+        assert len({p.tobytes() for p in points}) == len(points) == 2 ** (n - 1)
+        assert np.isin(low_x, (-1.0, 0.0, 1.0)).all() and np.isin(high_x, (-1.0, 0.0, 1.0)).all()
+        assert list(powers) == [1] * n and scale == 2 ** (n - 1) * math.factorial(n)
+
+
 def test_subset_sum_memory_is_bounded_at_n15():
     # a full 2^15-row table of 15 x 15 sums would be 118 MB
     mats = rand_tuple(15, 3400)
@@ -746,6 +773,14 @@ def test_det_of_sum_batches_the_compositions(monkeypatch):
         expected += grid if 2 * grid <= 2**4 else 2**4
     assert sum(taken) == expected == 1241
     assert max(taken) <= 256 and len(taken) <= 12
+
+
+def test_det_of_sum_guards_its_composition_count():
+    # C(47, 23) = 1.6e13 compositions of 24 into 24 parts: refused before any is listed
+    listed = engines_module._composition_table.cache_info().misses
+    with pytest.raises(GuardLimitError, match="compositions"):
+        det_of_sum([np.eye(24)] * 24)
+    assert engines_module._composition_table.cache_info().misses == listed
 
 
 def test_det_of_sum_memory_is_bounded():
@@ -885,8 +920,8 @@ def test_a_wrong_extraction_row_fails_det_of_sum_identity(monkeypatch):
 
     def shifted(pattern, k):
         # each extraction row moved on by one grid point: it reads another coefficient
-        low, high, extract, powers = table(pattern, k)
-        return low, high, np.roll(extract, 2, axis=1), powers
+        low, high, low_x, high_x, powers, scale = table(pattern, k)
+        return low, high, np.roll(low_x, 2, axis=0), high_x, powers, scale
 
     def det_of_sum_results():
         results = run_property_suite(seed=3, trials=2, n_values=(4, 5))
