@@ -148,6 +148,14 @@ def project_field_matrix(basis: GeneratorBasis, m) -> tuple[np.ndarray, np.ndarr
     return coeffs.real.copy(), coeffs.imag.copy()
 
 
+@lru_cache(maxsize=8)
+def _eye(n: int) -> np.ndarray:
+    """The real n x n identity, cached and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _unitaries(u_left, u_right, n: int) -> np.ndarray:
     """Both chiral factors as one (2, n, n) stack, ``[u_left, u_right]``.
 
@@ -155,13 +163,16 @@ def _unitaries(u_left, u_right, n: int) -> np.ndarray:
     one stacked product.  An error names the factor, u_left first.
     """
     names = ("u_left", "u_right")
-    factors = np.empty((2, n, n), dtype=np.complex128)
-    for i, (name, u) in enumerate(zip(names, (u_left, u_right))):
+    checked = []
+    for name, u in zip(names, (u_left, u_right)):
         u = as_matrix(u, name=name)
         if u.shape != (n, n):
             raise ValueError(f"{name} must be {n} x {n} to act on {n} x {n} matrices, got shape {u.shape}")
-        factors[i] = u
-    devs = np.abs(factors @ factors.conj().transpose(0, 2, 1) - np.eye(n)).max(axis=(1, 2))
+        checked.append(u)
+    factors = np.array(checked)
+    gram = factors @ factors.conj().transpose(0, 2, 1)
+    gram -= _eye(n)
+    devs = np.abs(gram).max(axis=(1, 2))
     for name, dev in zip(names, devs.tolist()):
         if dev > UNITARY_TOL:
             raise ValueError(f"{name} is not unitary (max deviation {dev:.3e})")

@@ -157,6 +157,7 @@ def _anomaly_report(cfg, couplings, seed: int, trials: int) -> dict:
 
     report = {
         "n": n,
+        "invariance": "indeterminate" if su_dev is None else "ok",
         "su_invariance_max_deviation": su_dev,
         "axial_phase_exponent": math.sqrt(2 * n),
         "axial_phase_max_deviation": phase_dev,

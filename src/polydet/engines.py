@@ -24,9 +24,9 @@ arguments coincide.  The engines compute it by these routes:
                       +-1 sign table with delta_1 = +1 fixed (the pair
                       delta, -delta gives equal terms), 2^(N-1) determinants:
                       1/(2^(N-1) N!) sum_delta prod(delta) det(sum_k delta_k A_k);
-                      a tuple whose grid would take more than half of
-                      2^(N-1) (a complex combination costs about twice a
-                      +-1 one) runs as that all-ones pattern
+                      a tuple runs as that all-ones pattern at N <= 3 or
+                      when its grid would take more than half of 2^(N-1)
+                      (a complex combination costs about twice a +-1 one)
     trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
                       Tr(A_{i_1} ... A_{i_L}),
@@ -45,13 +45,14 @@ returns their B values: ``subset_sum`` evaluates the whole batch in stacked
 ``det`` calls of at most 2^8 matrices, the other four run their one-tuple
 kernel on each row.  ``polydet`` validates one tuple and runs it as a batch
 of one; ``polydet_many`` validates a whole batch once.  With the default
-engine both find repeated arguments by exact equality of their bytes (a
-batch of four or more tuples first sorts each tuple's integer keys of its
-matrices, so only rows whose grid may pay are checked one by one) and run
-one grid kernel per multiplicity pattern; every other tuple, all-distinct
-or not, takes the all-ones pattern over its own argument positions.
-``det_of_sum`` validates its summands once and takes its compositions from
-a table cached per (N, r), each on its own grid.
+engine at N >= 4 both find repeated arguments by exact equality of their
+bytes (a batch of four or more tuples first sorts each tuple's integer keys
+of its matrices, so only rows whose grid may pay are checked one by one) and
+run one grid kernel per multiplicity pattern; every other tuple, all-distinct
+or not, and every tuple at N <= 3 take the all-ones pattern over their own
+argument positions.  ``det_of_sum`` validates its summands once, is guarded
+by the determinants it would take, and takes its compositions from a table
+cached per (N, r), each on its own grid.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ from .combinatorics import (
     GuardLimitError,
     compositions,
     cycle_covers,
+    enumerate_partition_vectors,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
 )
 # the kernels call their determinants through the module name ``det``, bound to
 # the trusted stack kernel: stacks made here are already validated
-from .matrices import as_stack, det_leibniz, signed_permutations, trace_sum_plan, validate_matrix_tuple
+from .matrices import LEIBNIZ_MAX_N, as_stack, det_leibniz, signed_permutations, trace_sum_plan, validate_matrix_tuple
 from .matrices import det_stack as det
 
 __all__ = [
@@ -98,8 +100,8 @@ _LEIBNIZ_CHUNK = 32
 _LU_CHUNK = 256
 # subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
-# det_of_sum: most compositions C(N + r - 1, r - 1) in one call; 10^4 take about 1 s at N, r near 8
-_DET_OF_SUM_MAX_COMPOSITIONS = 10_000
+# det_of_sum: most determinants in one call (``_det_of_sum_work``)
+_DET_OF_SUM_MAX_DETS = 500_000
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,10 @@ def _row_mixed_sum(stack: np.ndarray, det_of: Callable[[np.ndarray], np.ndarray]
 @lru_cache(maxsize=256)
 def _roots_grid_pays(pattern: tuple[int, ...]) -> bool:
     """Whether the roots grid of the ascending multiplicities ``pattern`` takes
-    at most half the 2^(N-1) determinants of the +-1 table: a complex
-    combination costs about twice a real +-1 one."""
-    return 4 * math.prod(m + 1 for m in pattern[1:]) <= 1 << sum(pattern)
+    at most half the 2^(N-1) determinants of the +-1 table (a complex
+    combination costs about twice a real +-1 one), at N > ``LEIBNIZ_MAX_N``:
+    below, a Leibniz gather's cost is the call, not the matrix count."""
+    return sum(pattern) > LEIBNIZ_MAX_N and 4 * math.prod(m + 1 for m in pattern[1:]) <= 1 << sum(pattern)
 
 
 def _roots(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +240,8 @@ def _grid_values(mats: np.ndarray, index: Optional[np.ndarray], pattern: tuple[i
     point's shift to all of them.  A slice holds 2^8 / G_low tuples, so
     every stacked ``det`` call takes at most 2^8 matrices and memory is a
     few 2^8-matrix arrays at every n.  Every operation acts on each tuple
-    alone, so a tuple's value does not depend on the rest of its batch.
+    alone, and at N <= 3 each ``det`` call takes at least two Leibniz
+    determinants, so a tuple's value does not depend on the rest of its batch.
     """
     low, high, low_x, high_x, powers, scale = _grid_table(pattern, _SUBSET_LOW_BITS)
     g, width = low.shape
@@ -258,10 +262,7 @@ def _grid_values(mats: np.ndarray, index: Optional[np.ndarray], pattern: tuple[i
         acc = 0.0
         for h, (shift, turn) in enumerate(zip(high, high_x)):
             sums = low_sums + (shift @ basis)[:, None] if h else low_sums
-            sums = sums.view(np.complex128).reshape(-1, n, n)
-            # a lone 2 x 2 or 3 x 3 matrix goes in a stack of two, so it rounds as
-            # inside a larger stack (see ``matrices.det_leibniz``); 1 x 1 is exact
-            dets = det(np.concatenate([sums, sums]))[:1] if len(sums) == 1 and 1 < n <= 3 else det(sums)
+            dets = det(sums.view(np.complex128).reshape(-1, n, n))
             # X det in real arithmetic, tuple by tuple: numpy's complex product
             # rounds differently in its vector loop, whose reach depends on
             # how many tuples share the slice; the first high point's factor is 1
@@ -330,14 +331,14 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     """The values of a validated batch by the default kernel.
 
     One ``_grid_values`` call per multiplicity pattern: tuples with
-    repeated arguments whose roots grid pays are taken on it, the rest,
-    every all-distinct tuple among them, as pattern (1, ..., 1) over their
+    repeated arguments whose roots grid pays are taken on it, the rest (at
+    N <= 3, the whole batch in row order) as pattern (1, ..., 1) over their
     own argument positions, on the +-1 sign grid.
     """
     b, n = batch.shape[:2]
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    # up to three rows are cheaper to plan one by one than to key and sort
-    for row in range(b) if b < 4 else _candidate_rows(batch):
+    # no grid pays at N <= LEIBNIZ_MAX_N; up to three rows are cheaper to plan one by one than to key and sort
+    for row in () if n <= LEIBNIZ_MAX_N else range(b) if b < 4 else _candidate_rows(batch):
         plan = _row_plan(batch[row])
         if plan:
             rows, index = groups.setdefault(plan[0], ([], []))
@@ -399,7 +400,7 @@ def _engine(name: str) -> Callable[[Sequence], PolydetResult]:
         kernel = _kernel(name, n)
         if kernel is not _default_values:
             return PolydetResult(complex(kernel(stack[None])[0]), name, n)
-        plan = _row_plan(stack)
+        plan = n > LEIBNIZ_MAX_N and _row_plan(stack)
         if plan:
             value = _grid_values(stack, np.array([plan[1]]), plan[0])[0]
         else:  # the sign grid over the tuple's own positions
@@ -441,6 +442,25 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
         return np.empty(0, dtype=np.complex128)
     n, batch = validate_matrix_tuple(tuples, batched=True)
     return _kernel(name, n)(batch)
+
+
+@lru_cache(maxsize=256)
+def _det_of_sum_work(n: int, r: int) -> int:
+    """The determinants ``det_of_sum`` takes for N = n and r summands, counted
+    per multiplicity pattern without listing a composition.
+
+    The compositions of n into r parts whose k non-zero parts are the
+    partition with c_s parts of size s number r! / ((r - k)! prod_s c_s!);
+    each takes prod_{j >= 2} (m_j + 1) determinants when the roots grid of
+    its ascending parts m pays, else the 2^(N-1) of the sign grid.
+    """
+    work = 0
+    for counts in enumerate_partition_vectors(n):
+        if sum(counts) <= r:
+            pattern = tuple(size for size, count in enumerate(counts, 1) for _ in range(count))
+            grid = math.prod(m + 1 for m in pattern[1:]) if _roots_grid_pays(pattern) else 1 << (n - 1)
+            work += multinomial(r, (r - sum(counts), *counts)) * grid
+    return work
 
 
 @lru_cache(maxsize=16)
@@ -487,16 +507,18 @@ def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     transform of the summands, which would make the sum equal det(sum A_k)
     by construction).  With any other engine the repeated tuples are row
     selections of the summand stack and go to the engine's kernel in
-    batches of 2^8 / N tuples.  More than 10^4 compositions,
-    C(N + r - 1, r - 1), raise ``GuardLimitError`` before any is listed.
+    batches of 2^8 / N tuples.  A call that would take more than 5 10^5
+    determinants on the default kernel's grids (``_det_of_sum_work``), about
+    1 s, raises ``GuardLimitError`` before any composition is listed.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
-    count = math.comb(n + r - 1, r - 1)
-    if count > _DET_OF_SUM_MAX_COMPOSITIONS:
+    work = _det_of_sum_work(n, r)
+    if work > _DET_OF_SUM_MAX_DETS:
         raise GuardLimitError(
-            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions, got {count} for n={n}, r={r}"
+            f"det_of_sum guarded at {_DET_OF_SUM_MAX_DETS} determinants over its compositions, "
+            f"got {work} for n={n}, r={r}"
         )
     weights, rows, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)

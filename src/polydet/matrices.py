@@ -50,6 +50,9 @@ ABS_TOL = 1e-12
 
 RANDOM_KINDS = ("general", "unitary", "special-unitary", "traceless-hermitian")
 
+#: largest n whose determinants :func:`det_stack` takes as Leibniz gathers, not by LU
+LEIBNIZ_MAX_N = 3
+
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a matrix whose determinant is below the floor."""
@@ -173,11 +176,12 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
     """Determinants of a trusted (B, n, n) complex128 stack, as B values.
 
     Nothing is checked: the caller passes a finite stack of square matrices
-    that it made or validated.  :func:`det_leibniz` for n <= 3, LU
-    factorization with partial pivoting (LAPACK) for n >= 4.  For n <= 3 a
-    value's last bits depend on the stack's size; see :func:`det_leibniz`.
+    that it made or validated.  :func:`det_leibniz` for n <= ``LEIBNIZ_MAX_N``
+    (3), LU factorization with partial pivoting (LAPACK) above.  A Leibniz
+    gather's cost is the call more than the matrix count, and a value's last
+    bits depend on the stack's size; see :func:`det_leibniz`.
     """
-    return det_leibniz(stack) if stack.shape[-1] <= 3 else np.linalg.det(stack)
+    return det_leibniz(stack) if stack.shape[-1] <= LEIBNIZ_MAX_N else np.linalg.det(stack)
 
 
 def det(m):

@@ -44,14 +44,17 @@ def test_compute_two_matrices(capsys, two_files):
 
 
 def test_compute_repeated_file_gives_determinant(capsys, tmp_path):
-    m = random_matrix(3, 8)
-    path = write_matrix(tmp_path / "m.json", m)
-    code, out = run_cli(capsys, "compute", path, path, path)
-    assert code == 0
-    payload = json.loads(out)
-    value = complex(payload["re"], payload["im"])
-    assert abs(value - np.linalg.det(m)) < 1e-9
-    assert payload["grid"] == "roots"
+    # eps(A, ..., A) takes one determinant on the roots grid from n = 4 on; at
+    # n <= 3 the 2^(n-1) Leibniz determinants of the sign grid cost no more
+    for n, grid in ((3, "signs"), (4, "roots")):
+        m = random_matrix(n, 8)
+        path = write_matrix(tmp_path / f"m{n}.json", m)
+        code, out = run_cli(capsys, "compute", *[path] * n)
+        assert code == 0
+        payload = json.loads(out)
+        value = complex(payload["re"], payload["im"])
+        assert abs(value - np.linalg.det(m)) < 1e-9
+        assert payload["grid"] == grid
 
 
 def test_compute_names_the_grid(capsys, tmp_path, two_files):
@@ -272,6 +275,7 @@ def test_anomaly_bundled_config(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 3
+    assert payload["invariance"] == "ok"
     assert payload["su_invariance_max_deviation"] < 1e-9
     assert payload["axial_phase_max_deviation"] < 1e-9
     assert payload["field_expansion"]["max_residual"] < 1e-8
@@ -292,6 +296,25 @@ def test_anomaly_zero_fields(capsys, tmp_path):
     assert payload["lagrangian"]["value"] == 0
 
 
+def test_anomaly_names_an_indeterminate_invariance(capsys, tmp_path):
+    # a zero second multiplet zeroes eps(A1, A1, A2): the ratios carry nothing,
+    # which the report says in so many words, and the run still succeeds
+    bundled = json.loads((REPO_ROOT / "configs" / "fields_n3.json").read_text())
+    bundled["multiplets"][1] = {"s": [0] * 9, "p": [0] * 9}
+    fields = tmp_path / "zero_second.json"
+    fields.write_text(json.dumps(bundled))
+    couplings = str(REPO_ROOT / "configs" / "couplings.json")
+    code, out = run_cli(capsys, "anomaly", str(fields), couplings, "--json", "--trials", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invariance"] == "indeterminate"
+    assert payload["su_invariance_max_deviation"] is None
+    assert payload["axial_phase_max_deviation"] is None
+    code, out = run_cli(capsys, "anomaly", str(fields), couplings, "--trials", "2")
+    assert code == 0
+    assert "invariance ratios: indeterminate (base value too small)" in out
+
+
 def test_anomaly_reports_only_indeterminate_ratios_as_such(capsys, monkeypatch):
     fields = str(REPO_ROOT / "configs" / "fields_n3.json")
     couplings = str(REPO_ROOT / "configs" / "couplings.json")
@@ -309,6 +332,7 @@ def test_anomaly_two_flavors(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 2
+    assert payload["invariance"] == "ok"
     assert payload["axial_phase_max_deviation"] < 1e-9
     assert "field_expansion" not in payload
 

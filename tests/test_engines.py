@@ -508,15 +508,15 @@ def test_subset_sum_zero_argument_gives_exact_zero(n):
 
 
 def gaussian_rational_permanent(rows):
-    """perm of a matrix of (re, im) Fraction pairs by Ryser's formula, exactly."""
+    """perm of a matrix of (re, im) pairs of ints or Fractions by Ryser's formula, exactly."""
     n = len(rows)
-    total = (Fraction(0), Fraction(0))
+    total = (0, 0)
     for size in range(1, n + 1):
         for cols in itertools.combinations(range(n), size):
-            prod = (Fraction((-1) ** size), Fraction(0))
+            prod = ((-1) ** size, 0)
             for row in rows:
-                re = sum((row[j][0] for j in cols), Fraction(0))
-                im = sum((row[j][1] for j in cols), Fraction(0))
+                re = sum(row[j][0] for j in cols)
+                im = sum(row[j][1] for j in cols)
                 prod = (prod[0] * re - prod[1] * im, prod[0] * im + prod[1] * re)
             total = (total[0] + prod[0], total[1] + prod[1])
     sign = (-1) ** n
@@ -546,6 +546,26 @@ def test_subset_sum_exact_on_scaled_commuting_tuples(n):
         assert exact != 0
         got = polydet_subset_sum(mats).value
         assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_diagonal_tuples_are_the_permanent_over_n_factorial(n):
+    # eps(diag(d_1), ..., diag(d_N)) = perm(M) / N! with M[k][j] = d_k[j], on
+    # Gaussian integers; d_1 = d_2 keeps the sign grid (pattern (1, ..., 1, 2)
+    # never pays), d_1 = ... = d_(N-1) takes the roots grid from n = 4 on
+    rng = np.random.default_rng([3460, n])
+    d = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    pair = d.copy()
+    pair[1] = d[0]
+    all_but_one = np.repeat(d[:1], n, axis=0)
+    all_but_one[-1] = d[-1]
+    for rows, grid in ((d, "signs"), (pair, "signs"), (all_but_one, "roots" if n >= 4 else "signs")):
+        re, im = gaussian_rational_permanent([[(int(x.real), int(x.imag)) for x in row] for row in rows])
+        exact = complex(Fraction(re, math.factorial(n)), Fraction(im, math.factorial(n)))
+        assert exact != 0
+        got = polydet([np.diag(row) for row in rows])
+        assert got.grid == grid
+        assert abs(got.value - exact) <= 1e-12 * abs(exact), (grid, abs(got.value - exact) / abs(exact))
 
 
 def exact_scaled_eps(mats):
@@ -783,6 +803,27 @@ def test_det_of_sum_guards_its_composition_count():
     assert engines_module._composition_table.cache_info().misses == listed
 
 
+def test_det_of_sum_work_counts_the_composition_table_determinants():
+    # counted per multiplicity pattern, it equals the determinants of the table's
+    # groups: prod_{j >= 2} (m_j + 1) each, 2^(N-1) on the sign grid
+    for n in range(1, 9):
+        for r in range(1, 9):
+            _, _, grids = engines_module._composition_table(n, r)
+            taken = sum(len(where) * math.prod(m + 1 for m in pattern[1:]) for pattern, where, _ in grids)
+            assert engines_module._det_of_sum_work(n, r) == taken, (n, r)
+
+
+def test_det_of_sum_refuses_a_call_just_over_its_work_bound():
+    # N = 5, r = 19 would take 506977 determinants, just over the bound; r = 18
+    # (394452) is admitted.  The refusal comes before the table is built
+    work = engines_module._det_of_sum_work
+    assert work(5, 18) <= engines_module._DET_OF_SUM_MAX_DETS < work(5, 19) == 506977
+    listed = engines_module._composition_table.cache_info().misses
+    with pytest.raises(GuardLimitError, match="determinants"):
+        det_of_sum([np.eye(5)] * 19)
+    assert engines_module._composition_table.cache_info().misses == listed
+
+
 def test_det_of_sum_memory_is_bounded():
     # the kernel's slices take a few 2^8-matrix arrays (0.7 MB at n = 6); all 462
     # repeated tuples of six 6 x 6 summands in one batch would add 1.6 MB
@@ -810,8 +851,9 @@ def multiplicity_patterns(n, smallest=1):
 
 
 def grid_pays(pattern):
-    # prod_{j >= 2} (m_j + 1) determinants, against half of the 2^(N-1) of the +-1 table
-    return 2 * math.prod(m + 1 for m in pattern[1:]) <= 2 ** (sum(pattern) - 1)
+    # prod_{j >= 2} (m_j + 1) determinants, against half of the 2^(N-1) of the +-1
+    # table, from N = 4 on: below, a determinant is a Leibniz gather priced per call
+    return sum(pattern) >= 4 and 2 * math.prod(m + 1 for m in pattern[1:]) <= 2 ** (sum(pattern) - 1)
 
 
 def repeated_tuple(rng, pattern, n):
@@ -865,8 +907,8 @@ def test_all_but_one_argument_repeated_is_the_trace_of_the_adjugate(n, monkeypat
 @pytest.mark.parametrize("n", range(2, 7))
 def test_polydet_many_rows_with_repeated_arguments_equal_single_calls(n, low_bits, monkeypatch):
     # rows of every pattern, two of each so that a pattern's grid takes a stack of
-    # several tuples (at n <= 3 a lone Leibniz determinant rounds differently),
-    # among all-distinct rows, a zero argument and an exact copy of a row
+    # several tuples, among all-distinct rows, a zero argument and an exact copy
+    # of a row; at n <= 3 every row is on the sign grid
     monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
     rng = np.random.default_rng([4300, n, low_bits])
     rows = [repeated_tuple(rng, pattern, n) for pattern in multiplicity_patterns(n) for _ in range(2)]
@@ -876,7 +918,7 @@ def test_polydet_many_rows_with_repeated_arguments_equal_single_calls(n, low_bit
     got = polydet_many(np.array(rows))
     singles = [polydet(row) for row in rows]
     assert all(got[k] == single.value for k, single in enumerate(singles))
-    assert {single.grid for single in singles} == {"roots", "signs"}
+    assert {single.grid for single in singles} == ({"signs"} if n <= 3 else {"roots", "signs"})
 
 
 def test_matrices_that_share_a_key_are_told_apart():
@@ -909,6 +951,40 @@ def test_distinct_tuples_stay_on_the_sign_table():
     # a result built with three fields, as callers did before the grid was named
     assert PolydetResult(1.0, "subset_sum", 2).grid == "signs"
     assert polydet(rand_tuple(3, 4510), "volume").grid == "signs"
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_no_repeat_detection_below_lu_size(n, monkeypatch):
+    # at N <= 3 a determinant is a Leibniz gather whose cost is the call, so no
+    # grid pays and no tuple is searched for repeats: every value is on the sign grid
+    from polydet.anomaly import check_invariance
+
+    def refuse(*args):
+        raise AssertionError("repeat detection at n <= 3")
+
+    monkeypatch.setattr(engines_module, "_row_plan", refuse)
+    monkeypatch.setattr(engines_module, "_candidate_rows", refuse)
+    a, b, c = (random_matrix(n, 4600 + k) for k in range(3))
+    tuples = [[a] * n, [a] * (n - 1) + [b], [a, b, c][:n]]
+    singles = [polydet(mats) for mats in tuples]
+    assert [single.grid for single in singles] == ["signs"] * 3
+    assert np.array_equal(polydet_many(np.array(tuples * 2)), [single.value for single in singles] * 2)
+    assert_close(det_of_sum([a, b, c]), det(a + b + c))
+    u_left, u_right = (random_matrix(n, 4610 + k, "special-unitary") for k in range(2))
+    assert check_invariance([a, b, c][:n], u_left, u_right).su_invariant
+    monkeypatch.undo()
+    assert polydet([random_matrix(4, 4620)] * 4).grid == "roots"
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_below_lu_size_the_sign_grid_collapses_to_det(n):
+    # eps(A, ..., A) = det A and det_of_sum(A, B, C) = det(A + B + C) to 1e-14
+    for seed in range(5):
+        a, b, c = (random_matrix(n, 4700 + 10 * seed + k) for k in range(3))
+        expected = det(a)
+        assert abs(polydet([a] * n).value - expected) <= 1e-14 * abs(expected)
+        expected = det(a + b + c)
+        assert abs(det_of_sum([a, b, c]) - expected) <= 1e-14 * abs(expected)
 
 
 def test_a_wrong_extraction_row_fails_det_of_sum_identity(monkeypatch):
