@@ -51,8 +51,8 @@ of its matrices, so only rows whose grid may pay are checked one by one) and
 run one grid kernel per multiplicity pattern; every other tuple, all-distinct
 or not, and every tuple at N <= 3 take the all-ones pattern over their own
 argument positions.  ``det_of_sum`` validates its summands once, is guarded
-by the determinants it would take, and takes its compositions from a table
-cached per (N, r), each on its own grid.
+by the compositions it would list and the determinants it would take, and
+takes its compositions from a table cached per (N, r), each on its own grid.
 """
 
 from __future__ import annotations
@@ -100,7 +100,9 @@ _LEIBNIZ_CHUNK = 32
 _LU_CHUNK = 256
 # subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
-# det_of_sum: most determinants in one call (``_det_of_sum_work``)
+# det_of_sum: most compositions C(N + r - 1, r - 1) in one call, each listed in Python
+# and run row by row by the non-default engines, and most determinants (``_det_of_sum_work``)
+_DET_OF_SUM_MAX_COMPOSITIONS = 10_000
 _DET_OF_SUM_MAX_DETS = 500_000
 
 
@@ -507,18 +509,19 @@ def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     transform of the summands, which would make the sum equal det(sum A_k)
     by construction).  With any other engine the repeated tuples are row
     selections of the summand stack and go to the engine's kernel in
-    batches of 2^8 / N tuples.  A call that would take more than 5 10^5
-    determinants on the default kernel's grids (``_det_of_sum_work``), about
-    1 s, raises ``GuardLimitError`` before any composition is listed.
+    batches of 2^8 / N tuples.  A call that would list more than 10^4
+    compositions, or take more than 5 10^5 determinants on the default
+    kernel's grids (``_det_of_sum_work``), raises ``GuardLimitError`` before
+    any composition is listed.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
-    work = _det_of_sum_work(n, r)
-    if work > _DET_OF_SUM_MAX_DETS:
+    count, work = math.comb(n + r - 1, r - 1), _det_of_sum_work(n, r)
+    if count > _DET_OF_SUM_MAX_COMPOSITIONS or work > _DET_OF_SUM_MAX_DETS:
         raise GuardLimitError(
-            f"det_of_sum guarded at {_DET_OF_SUM_MAX_DETS} determinants over its compositions, "
-            f"got {work} for n={n}, r={r}"
+            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions and "
+            f"{_DET_OF_SUM_MAX_DETS} determinants, got {count} and {work} for n={n}, r={r}"
         )
     weights, rows, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)

@@ -529,43 +529,32 @@ def haar_unitary(rng, n):
     return q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("n", (4, 6, 8, 10))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_subset_sum_exact_on_scaled_commuting_tuples(n):
     # A_k = s_k U diag(d_k) U^H share an eigenbasis, so eps = prod(s_k) perm(D) / N!
-    # with D[k][j] = d_k[j]; norms spread log-uniformly over twelve decades
+    # with D[k][j] = d_k[j]; norms spread log-uniformly over twelve decades.  Each
+    # tuple also runs with A_1 = A_2, which keeps the sign grid (pattern
+    # (1, ..., 1, 2) never pays), and with A_1 = ... = A_(N-1), which takes the
+    # roots grid from n = 4 on.  A zero permanent (n = 12 repeats a row with a zero
+    # that the last row shares) has no relative error; it is checked against
+    # prod |A_k|_2, which bounds |eps| of commuting normal tuples
     for seed in range(3):
         rng = np.random.default_rng([3200, n, seed])
         d = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
         scales = 10.0 ** rng.uniform(-6.0, 6.0, n)
         u = haar_unitary(rng, n)
-        mats = [s * (u * row) @ u.conj().T for s, row in zip(scales, d)]
-        rows = [[(Fraction(int(x.real)), Fraction(int(x.imag))) for x in row] for row in d]
-        re, im = gaussian_rational_permanent(rows)
-        weight = math.prod(Fraction(float(s)) for s in scales) / math.factorial(n)
-        exact = complex(float(re * weight), float(im * weight))
-        assert exact != 0
-        got = polydet_subset_sum(mats).value
-        assert abs(got - exact) <= 1e-12 * abs(exact)
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_diagonal_tuples_are_the_permanent_over_n_factorial(n):
-    # eps(diag(d_1), ..., diag(d_N)) = perm(M) / N! with M[k][j] = d_k[j], on
-    # Gaussian integers; d_1 = d_2 keeps the sign grid (pattern (1, ..., 1, 2)
-    # never pays), d_1 = ... = d_(N-1) takes the roots grid from n = 4 on
-    rng = np.random.default_rng([3460, n])
-    d = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
-    pair = d.copy()
-    pair[1] = d[0]
-    all_but_one = np.repeat(d[:1], n, axis=0)
-    all_but_one[-1] = d[-1]
-    for rows, grid in ((d, "signs"), (pair, "signs"), (all_but_one, "roots" if n >= 4 else "signs")):
-        re, im = gaussian_rational_permanent([[(int(x.real), int(x.imag)) for x in row] for row in rows])
-        exact = complex(Fraction(re, math.factorial(n)), Fraction(im, math.factorial(n)))
-        assert exact != 0
-        got = polydet([np.diag(row) for row in rows])
-        assert got.grid == grid
-        assert abs(got.value - exact) <= 1e-12 * abs(exact), (grid, abs(got.value - exact) / abs(exact))
+        pair = [0, 0, *range(2, n)]
+        all_but_one = [0] * (n - 1) + [n - 1]
+        for index, grid in ((range(n), "signs"), (pair, "signs"), (all_but_one, "roots" if n >= 4 else "signs")):
+            rows, row_scales = d[list(index)], scales[list(index)]
+            mats = [s * (u * row) @ u.conj().T for s, row in zip(row_scales, rows)]
+            re, im = gaussian_rational_permanent([[(int(x.real), int(x.imag)) for x in row] for row in rows])
+            weight = math.prod(Fraction(float(s)) for s in row_scales) / math.factorial(n)
+            exact = complex(float(re * weight), float(im * weight))
+            size = abs(exact) or math.prod(np.linalg.norm(m, 2) for m in mats)
+            got = polydet_subset_sum(mats)
+            assert got.grid == grid
+            assert abs(got.value - exact) <= 1e-12 * size, (grid, abs(got.value - exact) / size)
 
 
 def exact_scaled_eps(mats):
@@ -814,13 +803,28 @@ def test_det_of_sum_work_counts_the_composition_table_determinants():
 
 
 def test_det_of_sum_refuses_a_call_just_over_its_work_bound():
-    # N = 5, r = 19 would take 506977 determinants, just over the bound; r = 18
-    # (394452) is admitted.  The refusal comes before the table is built
+    # N = 10, r = 7 would take 554708 determinants over 8008 compositions, over the
+    # determinant bound alone; r = 6 (167688) is admitted.  The refusal comes
+    # before the table is built
     work = engines_module._det_of_sum_work
-    assert work(5, 18) <= engines_module._DET_OF_SUM_MAX_DETS < work(5, 19) == 506977
+    assert math.comb(16, 6) <= engines_module._DET_OF_SUM_MAX_COMPOSITIONS
+    assert work(10, 6) <= engines_module._DET_OF_SUM_MAX_DETS < work(10, 7) == 554708
     listed = engines_module._composition_table.cache_info().misses
     with pytest.raises(GuardLimitError, match="determinants"):
-        det_of_sum([np.eye(5)] * 19)
+        det_of_sum([np.eye(10)] * 7)
+    assert engines_module._composition_table.cache_info().misses == listed
+
+
+@pytest.mark.parametrize("r", (141, 706))
+def test_det_of_sum_bounds_its_listing_at_small_n(r):
+    # at N = 2 the cost is listing the C(r + 1, 2) compositions of length r, not the
+    # r (r + 1) determinants (499142 at r = 706, under their bound): the composition
+    # count refuses r = 141 (10011) before the table is built; r = 140 (9870) is admitted
+    assert engines_module._det_of_sum_work(2, r) <= engines_module._DET_OF_SUM_MAX_DETS
+    assert math.comb(r + 1, 2) > engines_module._DET_OF_SUM_MAX_COMPOSITIONS >= math.comb(141, 2)
+    listed = engines_module._composition_table.cache_info().misses
+    with pytest.raises(GuardLimitError, match="compositions"):
+        det_of_sum([np.eye(2)] * r)
     assert engines_module._composition_table.cache_info().misses == listed
 
 
@@ -953,10 +957,11 @@ def test_distinct_tuples_stay_on_the_sign_table():
     assert polydet(rand_tuple(3, 4510), "volume").grid == "signs"
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
 def test_no_repeat_detection_below_lu_size(n, monkeypatch):
     # at N <= 3 a determinant is a Leibniz gather whose cost is the call, so no
-    # grid pays and no tuple is searched for repeats: every value is on the sign grid
+    # grid pays and no tuple is searched for repeats: every value is on the sign
+    # grid, where eps(A, ..., A) = det A and det_of_sum(A, B, C) = det(A + B + C) to 1e-14
     from polydet.anomaly import check_invariance
 
     def refuse(*args):
@@ -964,27 +969,19 @@ def test_no_repeat_detection_below_lu_size(n, monkeypatch):
 
     monkeypatch.setattr(engines_module, "_row_plan", refuse)
     monkeypatch.setattr(engines_module, "_candidate_rows", refuse)
+    for seed in range(5):
+        a, b, c = (random_matrix(n, 4700 + 10 * seed + k) for k in range(3))
+        for got, expected in ((polydet([a] * n).value, det(a)), (det_of_sum([a, b, c]), det(a + b + c))):
+            assert abs(got - expected) <= 1e-14 * abs(expected)
     a, b, c = (random_matrix(n, 4600 + k) for k in range(3))
     tuples = [[a] * n, [a] * (n - 1) + [b], [a, b, c][:n]]
     singles = [polydet(mats) for mats in tuples]
     assert [single.grid for single in singles] == ["signs"] * 3
     assert np.array_equal(polydet_many(np.array(tuples * 2)), [single.value for single in singles] * 2)
-    assert_close(det_of_sum([a, b, c]), det(a + b + c))
     u_left, u_right = (random_matrix(n, 4610 + k, "special-unitary") for k in range(2))
     assert check_invariance([a, b, c][:n], u_left, u_right).su_invariant
     monkeypatch.undo()
     assert polydet([random_matrix(4, 4620)] * 4).grid == "roots"
-
-
-@pytest.mark.parametrize("n", (1, 2, 3))
-def test_below_lu_size_the_sign_grid_collapses_to_det(n):
-    # eps(A, ..., A) = det A and det_of_sum(A, B, C) = det(A + B + C) to 1e-14
-    for seed in range(5):
-        a, b, c = (random_matrix(n, 4700 + 10 * seed + k) for k in range(3))
-        expected = det(a)
-        assert abs(polydet([a] * n).value - expected) <= 1e-14 * abs(expected)
-        expected = det(a + b + c)
-        assert abs(det_of_sum([a, b, c]) - expected) <= 1e-14 * abs(expected)
 
 
 def test_a_wrong_extraction_row_fails_det_of_sum_identity(monkeypatch):
