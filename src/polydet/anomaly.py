@@ -215,7 +215,8 @@ def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
     validated once and both factors checked unitary by one stacked
     product; the whole tuple is transformed by one broadcast product, both
     values come from one two-row batch handed straight to the default
-    kernel, and both factor determinants from one ``det`` of the factors.
+    kernel, and both factor determinants, taken only when the ratio is
+    within 1e-9 of 1, from one ``det`` of the factors.
     """
     n, stack = validate_matrix_tuple(mats)
     factors = _unitaries(u_left, u_right, n)
@@ -225,9 +226,10 @@ def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
     if abs(base) <= 1e-12 * float(np.abs(stack).max()) ** n:
         raise IndeterminateRatioError(f"indeterminate ratio: |base value| = {abs(base):.3e}")
     ratio = moved / base
+    if not abs(ratio - 1) < 1e-9:  # not invariant, whatever the factors' determinants
+        return InvarianceReport(ratio, False)
     det_left, det_right = det(factors).tolist()
-    special = abs(det_left - 1) < 1e-9 and abs(det_right - 1) < 1e-9
-    return InvarianceReport(ratio, bool(special and abs(ratio - 1) < 1e-9))
+    return InvarianceReport(ratio, abs(det_left - 1) < 1e-9 and abs(det_right - 1) < 1e-9)
 
 
 def lagrangian_value(cfg: FieldConfiguration, couplings: Couplings, shifted: bool = False) -> float:

@@ -175,12 +175,23 @@ def iterate_subsets(n: int) -> Iterator[tuple[int, ...]]:
 
 def compositions(total: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-tuples of non-negative integers summing to total, lexicographically
-    descending (so (total, 0, ..., 0) comes first)."""
+    descending (so (total, 0, ..., 0) comes first).
+
+    Iterative: the next tuple moves one unit from the last non-zero part
+    before the final one to its right neighbour, which also takes the
+    final part, so a yield costs O(r) at any r.
+    """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if r == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, r - 1):
-            yield (first,) + rest
+    comp = [total] + [0] * (r - 1)
+    while True:
+        yield tuple(comp)
+        i = r - 2
+        while i >= 0 and not comp[i]:
+            i -= 1
+        if i < 0:
+            return
+        rest = comp[-1]
+        comp[-1] = 0
+        comp[i] -= 1
+        comp[i + 1] = rest + 1

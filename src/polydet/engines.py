@@ -30,10 +30,12 @@ arguments coincide.  The engines compute it by these routes:
     trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
                       Tr(A_{i_1} ... A_{i_L}),
-                      compiled once per N into a trace-sum plan: the
-                      cycle prefixes of each length in one stacked matmul,
-                      the traces of the cycles of each length in one
-                      einsum, and the N! signed products in one gather
+                      on the cycle-cover plan compiled once per N
+                      (``matrices.cycle_cover_plan``): the cycle prefixes
+                      of each length in one stacked matmul, the traces of
+                      the cycles of two or more letters from one product of
+                      the prefixes with the transposed letters, and the N!
+                      signed products from one gather, multiplied row by row
     volume            signed average of N! row-mixed oriented volumes, by LU:
                       (1/N!) sum_sigma sgn(sigma) det(M_sigma), 256 sigma at
                       a time, where row i of M_sigma is row sigma(i) of A_i
@@ -51,8 +53,9 @@ of its matrices, so only rows whose grid may pay are checked one by one) and
 run one grid kernel per multiplicity pattern; every other tuple, all-distinct
 or not, and every tuple at N <= 3 take the all-ones pattern over their own
 argument positions.  ``det_of_sum`` validates its summands once, is guarded
-by the compositions it would list and the determinants it would take, and
-takes its compositions from a table cached per (N, r), each on its own grid.
+by the compositions it would list, their entries and the determinants it
+would take, and takes its compositions from a table cached per (N, r), each
+on its own grid.
 """
 
 from __future__ import annotations
@@ -69,14 +72,13 @@ from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
     compositions,
-    cycle_covers,
     enumerate_partition_vectors,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
 )
 # the kernels call their determinants through the module name ``det``, bound to
 # the trusted stack kernel: stacks made here are already validated
-from .matrices import LEIBNIZ_MAX_N, as_stack, det_leibniz, signed_permutations, trace_sum_plan, validate_matrix_tuple
+from .matrices import LEIBNIZ_MAX_N, as_stack, cycle_cover_plan, det_leibniz, signed_permutations, validate_matrix_tuple
 from .matrices import det_stack as det
 
 __all__ = [
@@ -101,8 +103,10 @@ _LU_CHUNK = 256
 # subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
 # det_of_sum: most compositions C(N + r - 1, r - 1) in one call, each listed in Python
-# and run row by row by the non-default engines, and most determinants (``_det_of_sum_work``)
+# and run row by row by the non-default engines; most entries C r of their listing
+# (N = 2, r = 140 lists 1381800 in about 0.3 s); and most determinants (``_det_of_sum_work``)
 _DET_OF_SUM_MAX_COMPOSITIONS = 10_000
+_DET_OF_SUM_MAX_ENTRIES = 1_500_000
 _DET_OF_SUM_MAX_DETS = 500_000
 
 
@@ -358,15 +362,9 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _cycle_plan(n: int) -> Callable[[np.ndarray], complex]:
-    """sum_sigma sgn(sigma) prod_{cycles c of sigma} Tr(c), compiled once per n."""
-    return trace_sum_plan((float(sign), cycles) for sign, cycles in cycle_covers(n))
-
-
 def _trace_formula_value(stack: np.ndarray) -> complex:
     n = stack.shape[0]
-    return _cycle_plan(n)(stack) / math.factorial(n)
+    return cycle_cover_plan(n)(stack) / math.factorial(n)
 
 
 def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.ndarray]:
@@ -510,18 +508,20 @@ def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
     by construction).  With any other engine the repeated tuples are row
     selections of the summand stack and go to the engine's kernel in
     batches of 2^8 / N tuples.  A call that would list more than 10^4
-    compositions, or take more than 5 10^5 determinants on the default
-    kernel's grids (``_det_of_sum_work``), raises ``GuardLimitError`` before
-    any composition is listed.
+    compositions or 1.5 10^6 composition entries (r per composition), or
+    take more than 5 10^5 determinants on the default kernel's grids
+    (``_det_of_sum_work``), raises ``GuardLimitError`` before any
+    composition is listed.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
     count, work = math.comb(n + r - 1, r - 1), _det_of_sum_work(n, r)
-    if count > _DET_OF_SUM_MAX_COMPOSITIONS or work > _DET_OF_SUM_MAX_DETS:
+    if count > _DET_OF_SUM_MAX_COMPOSITIONS or count * r > _DET_OF_SUM_MAX_ENTRIES or work > _DET_OF_SUM_MAX_DETS:
         raise GuardLimitError(
-            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions and "
-            f"{_DET_OF_SUM_MAX_DETS} determinants, got {count} and {work} for n={n}, r={r}"
+            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions, {_DET_OF_SUM_MAX_ENTRIES} "
+            f"composition entries and {_DET_OF_SUM_MAX_DETS} determinants, got {count}, {count * r} and {work} "
+            f"for n={n}, r={r}"
         )
     weights, rows, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)

@@ -7,8 +7,10 @@ trusted kernel that the engines and :func:`inverse` call on stacks they
 have already made or checked: :func:`det_leibniz` for n <= 3, over the one
 cached table :func:`signed_permutations`, and LAPACK LU above.
 :func:`trace_sum_plan` compiles a weighted sum of products of word traces
-once, to be evaluated on any stack in stacked products; the trace-formula
-engine and the symbolic layer share it.  All functions are pure.
+once, to be evaluated on any stack in stacked products; every plan is
+compiled by it.  :func:`cycle_cover_plan` is its cached per-n plan of the cycle
+form of the determinant, which the trace-formula engine and the
+expansions of distinct labels share.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import permutation_sign
+from .combinatorics import cycle_covers, permutation_sign
 
 __all__ = [
     "SingularMatrixError",
@@ -29,6 +31,7 @@ __all__ = [
     "as_stack",
     "validate_matrix_tuple",
     "trace_sum_plan",
+    "cycle_cover_plan",
     "det",
     "det_stack",
     "det_leibniz",
@@ -105,46 +108,71 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
     ``terms`` are (weight, words) pairs whose words are non-empty tuples of
     indices into a stack; pass one spelling per cyclic word, since words
     are numbered as given.  The returned function takes an (N, n, n) stack.
-    It multiplies the needed prefixes of each length in one stacked
-    ``matmul`` from those one letter shorter, takes the traces of the words
-    of each length by one ``einsum`` of prefix and last letter, and sums the
-    terms by one gather into the trace vector, whose trailing 1.0 pads the
-    terms with fewer words.
+    Into one buffer of prefix products it copies the first letters of the
+    longer words and multiplies the needed prefixes of each length in one
+    stacked ``matmul`` from those one letter shorter.  Tr(P @ A) is the sum
+    of P's entries times A^T's, so one product of the (prefixes, n^2)
+    buffer with the (n^2, letters) transposed last letters holds the trace
+    of every prefix times every letter, and one gather takes each word of
+    two or more letters from it; one ``trace`` of the stack gives the
+    one-letter words.  A (words, terms) gather of the trace vector, whose
+    trailing 1.0 pads the terms with fewer words, is multiplied row by row
+    into the terms' products.
     """
     terms = list(terms)
     listed = [w for _, words in terms for w in words]
-    ids = {w: entry for entry, w in enumerate(dict.fromkeys(listed))}  # word -> its entry in the trace vector
+    distinct = dict.fromkeys(listed)
+    singles = [w for w in distinct if len(w) == 1]
+    longer = [w for w in distinct if len(w) > 1]
+    ids = {w: entry for entry, w in enumerate(singles + longer)}  # word -> its entry in the trace vector
     weights = np.array([weight for weight, _ in terms], dtype=np.float64)
     counts = np.array([len(words) for _, words in terms], dtype=np.intp)
     pad = len(ids)
-    index = np.full((len(counts), counts.max(initial=0)), pad, dtype=np.intp)
-    index[np.arange(index.shape[1]) < counts[:, None]] = list(map(ids.__getitem__, listed))  # row by row
+    index = np.full((counts.max(initial=0), len(counts)), pad, dtype=np.intp)
+    index.T[np.arange(len(index)) < counts[:, None]] = list(map(ids.__getitem__, listed))  # term by term
 
-    # length -> (parent row, last letter) of each prefix of that length -> its row among them
-    rows: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
-    by_length = defaultdict(list)  # length -> (trace entry, prefix row, last letter) of each word
-    for w, entry in ids.items():
-        parent = w[0]  # the row of w[:k - 1]; a one-letter prefix is its letter's row in the stack
+    # rows[k]: (parent row, last letter) of each prefix of length k -> its row among them;
+    # a one-letter prefix is keyed by its letter
+    rows: defaultdict[int, dict] = defaultdict(dict)
+    ends = []  # (length, row) of each longer word's prefix without its last letter, and that letter
+    for w in longer:
+        parent = rows[1].setdefault(w[0], len(rows[1]))
         for k in range(2, len(w)):
-            level = rows[k]
-            parent = level.setdefault((parent, w[k - 1]), len(level))
-        by_length[len(w)].append((entry, parent, w[-1]))
-    words = [(length, *np.array(by_length[length], dtype=np.intp).T) for length in sorted(by_length)]
-    levels = [np.array(list(rows[k]), dtype=np.intp).T for k in range(2, max(by_length, default=0))]
+            parent = rows[k].setdefault((parent, w[k - 1]), len(rows[k]))
+        ends.append((len(w) - 1, parent, w[-1]))
+    starts = np.cumsum([0] + [len(rows[k]) for k in range(1, len(rows) + 1)])  # the buffer's row of each level
+    levels = []
+    for k in range(2, len(rows) + 1):
+        parent, last = np.array(list(rows[k]), dtype=np.intp).T
+        levels.append((starts[k - 2] + parent, last, slice(starts[k - 1], starts[k])))
+    columns = {letter: c for c, letter in enumerate(dict.fromkeys(last for _, _, last in ends))}
+    gather = np.array([(starts[k - 1] + row) * len(columns) + columns[last] for k, row, last in ends], dtype=np.intp)
+    firsts, lasts = (np.array(list(letters), dtype=np.intp) for letters in (rows[1], columns))
+    single_letters = np.array([w[0] for w in singles], dtype=np.intp)
 
     def value(stack: np.ndarray) -> complex:
-        prods = [None, stack]  # prods[k][r] = product of the length-k prefix in row r
-        for parent, last in levels:
-            prods.append(prods[-1][parent] @ stack[last])
-        tr = np.ones(pad + 1, dtype=np.complex128)
-        for length, entry, parent, last in words:
-            if length == 1:
-                tr[entry] = np.einsum("bii->b", stack[last])
-            else:
-                tr[entry] = np.einsum("bij,bji->b", prods[length - 1][parent], stack[last])
-        return complex(weights @ tr[index].prod(axis=1))
+        n = stack.shape[-1]
+        tr = np.empty(pad + 1, dtype=np.complex128)
+        tr[: len(singles)] = np.trace(stack[single_letters], axis1=1, axis2=2)
+        tr[pad] = 1.0
+        prods = np.empty((starts[-1], n, n), dtype=np.complex128)
+        prods[: len(firsts)] = stack[firsts]
+        for parent, last, out in levels:
+            np.matmul(prods[parent], stack[last], out=prods[out])
+        turned = stack[lasts].transpose(0, 2, 1).reshape(len(lasts), n * n)
+        tr[len(singles) : pad] = (prods.reshape(-1, n * n) @ turned.T).ravel()[gather]
+        return complex(weights @ np.multiply.reduce(tr[index], axis=0))
 
     return value
+
+
+@lru_cache(maxsize=16)
+def cycle_cover_plan(n: int) -> Callable[[np.ndarray], complex]:
+    """sum_sigma sgn(sigma) prod_{cycles c of sigma} Tr(c) over the permutations
+    of range(n), compiled once per n: n! times the mixed discriminant of an
+    (n, n, n) stack.  The trace-formula engine and every expansion of n
+    distinct labels evaluate on this one plan."""
+    return trace_sum_plan((float(sign), cycles) for sign, cycles in cycle_covers(n))
 
 
 @lru_cache(maxsize=16)

@@ -3,10 +3,12 @@
 Words are tuples of matrix labels read cyclically, so Tr(ABC) and Tr(BCA)
 are the same word; the canonical spelling is the lexicographically minimal
 rotation.  Tr(ABC) and Tr(ACB) stay distinct.  Coefficients are exact
-rationals; floats only appear in :func:`evaluate`, which compiles an
-expansion's terms once into the trace-sum plan the trace-formula engine
-also uses, keeps it on the expansion, and evaluates each binding in stacked
-products.
+rationals; floats only appear in :func:`evaluate`, which evaluates each
+binding in stacked products on the expansion's plan.  An expansion of n
+distinct labels from :func:`expand_polydet` carries the trace-formula
+engine's own cached plan of the n! cycle covers, one per term; any other
+expansion compiles its terms by the same ``trace_sum_plan`` on its first
+evaluation and keeps the plan.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .combinatorics import (
     cycle_covers,
     multinomial,
 )
-from .matrices import as_matrix, trace_sum_plan
+from .matrices import as_matrix, cycle_cover_plan, trace_sum_plan
 
 __all__ = [
     "TraceMonomial",
@@ -57,9 +59,11 @@ class TraceExpansion:
     terms: tuple[TraceMonomial, ...]
 
     @cached_property
-    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex]]:
-        """The labels in order of first appearance, and the trace-sum plan of
-        the terms over the stack of their matrices in that order."""
+    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex], int]:
+        """(labels, plan, divisor): the plan of the terms over the stack of the
+        labels' matrices in that order, whose value divided by the divisor is
+        the expansion's.  Compiled here with the labels in order of first
+        appearance and divisor 1; ``expand_polydet`` sets it for distinct labels."""
         spelled: dict[Word, tuple[int, ...]] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
         slots = {label: i for i, label in enumerate(dict.fromkeys(chain.from_iterable(spelled)))}
         for w in spelled:
@@ -72,7 +76,7 @@ class TraceExpansion:
             if weight is None:
                 weight = weights[key] = float(coef)
             terms.append((weight, [spelled[w] for w in words]))
-        return tuple(slots), trace_sum_plan(terms)
+        return tuple(slots), trace_sum_plan(terms), 1
 
     def __getstate__(self) -> dict:
         """Pickle the fields alone: the plan is a cache, rebuilt on demand."""
@@ -119,7 +123,10 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
     Tr(A_{i_1} ... A_{i_L}).  Each permutation's cycles are spelled in the
     slots' labels, canonicalized, and its monomial gains sgn(sigma); each
-    monomial's signed count becomes one coefficient count / n!.
+    monomial's signed count becomes one coefficient count / n!.  With n
+    distinct labels the n! terms are the cycle covers, one to one, and the
+    expansion carries their cached plan (``matrices.cycle_cover_plan``)
+    with the labels in slot order, so ``evaluate`` compiles nothing.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -139,25 +146,32 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
         counts[words] = counts.get(words, 0) + sign
     fact = math.factorial(n)
     coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
-    return _merged(n, {words: coefficients[count] for words, count in counts.items()})
+    expansion = _merged(n, {words: coefficients[count] for words, count in counts.items()})
+    if len(set(labels)) == n:  # its terms are the cycle covers, one to one
+        expansion.__dict__["_plan"] = labels, cycle_cover_plan(n), fact
+    return expansion
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
     """Numeric value of an expansion under a label -> matrix binding.
 
-    The expansion's trace-sum plan is compiled on its first evaluation and
-    kept on it; labels it does not use are ignored.
+    An expansion of distinct labels from ``expand_polydet`` evaluates on
+    the cached cycle-cover plan of its n, divided by n!; any other compiles
+    its terms into a trace-sum plan on its first evaluation and keeps it.
+    Labels the expansion does not use are ignored; a missing one raises
+    KeyError naming the first unbound label in term order.
     """
-    labels, plan = expansion._plan
+    labels, plan, divisor = expansion._plan
+    if not all(label in binding for label in labels):
+        used = chain.from_iterable(chain.from_iterable([t.words for t in expansion.terms]))
+        raise KeyError(f"unbound label {next(label for label in used if label not in binding)!r}")
     mats = []
     for label in labels:
-        if label not in binding:
-            raise KeyError(f"unbound label {label!r}")
         m = as_matrix(binding[label], name=f"binding[{label}]")
         if m.shape[0] != expansion.n:
             raise ValueError(f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}")
         mats.append(m)
-    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n))
+    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n)) / divisor
 
 
 def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:

@@ -320,8 +320,10 @@ def counting(calls, fn):
 
 def test_check_invariance_per_call_work(monkeypatch):
     # the tuple is validated once; one stacked kernel determinant serves both
-    # tuples (2 x 2^(3-1) matrices) and one trusted det both factors; a single
-    # polydet call validates its tuple and takes 2^(3-1) determinants
+    # tuples (2 x 2^(3-1) matrices); a non-special right factor moves the ratio
+    # off 1, so no factor determinant is taken, while two special-unitary
+    # factors take both by one trusted det; a single polydet call validates its
+    # tuple and takes 2^(3-1) determinants
     kernel, trusted, validated, revalidated = [], [], [], []
     monkeypatch.setattr(engines_module, "det", counting(kernel, engines_module.det))
     monkeypatch.setattr(anomaly_module, "det", counting(trusted, anomaly_module.det))
@@ -332,8 +334,14 @@ def test_check_invariance_per_call_work(monkeypatch):
         engines_module, "validate_matrix_tuple", counting(revalidated, engines_module.validate_matrix_tuple)
     )
     mats = [random_matrix(3, k) for k in (74, 75, 76)]
-    check_invariance(mats, random_matrix(3, 77, "special-unitary"), random_matrix(3, 78, "unitary"))
+    report = check_invariance(mats, random_matrix(3, 77, "special-unitary"), random_matrix(3, 78, "unitary"))
+    assert (kernel, trusted, validated, revalidated) == ([8], [], [3], [])
+    assert abs(report.ratio - 1) >= 1e-9 and not report.su_invariant
+    kernel.clear()
+    validated.clear()
+    report = check_invariance(mats, random_matrix(3, 77, "special-unitary"), random_matrix(3, 79, "special-unitary"))
     assert (kernel, trusted, validated, revalidated) == ([8], [2], [3], [])
+    assert report.su_invariant
     kernel.clear()
     polydet(mats)
     assert (kernel, revalidated) == ([4], [3])

@@ -191,3 +191,20 @@ def test_compositions():
     assert list(compositions(3, 1)) == [(3,)]
     assert all(sum(c) == 4 for c in compositions(4, 3))
     assert len(list(compositions(4, 3))) == 15
+
+
+@pytest.mark.parametrize("total", range(6))
+@pytest.mark.parametrize("r", range(1, 6))
+def test_compositions_are_every_tuple_in_descending_order(total, r):
+    expected = sorted((c for c in itertools.product(range(total + 1), repeat=r) if sum(c) == total), reverse=True)
+    assert list(compositions(total, r)) == expected
+
+
+def test_compositions_list_long_tuples_without_recursion():
+    # r past the interpreter's recursion limit: the unit vectors in order
+    count = 0
+    for k, c in enumerate(compositions(1, 3000)):
+        assert len(c) == 3000 and c[k] == 1 and sum(c) == 1
+        count += 1
+    assert count == 3000
+    assert list(compositions(0, 3)) == [(0, 0, 0)]

@@ -828,6 +828,22 @@ def test_det_of_sum_bounds_its_listing_at_small_n(r):
     assert engines_module._composition_table.cache_info().misses == listed
 
 
+def test_det_of_sum_bounds_its_composition_entries():
+    # at N = 1 the r compositions of length r are the unit vectors: r = 1000 lists
+    # 10^6 entries and is admitted, its value the sum of the 1 x 1 summands; r = 1225
+    # (1500625 entries) and r = 5000 are refused before the table is built
+    rng = np.random.default_rng(4100)
+    scalars = rng.uniform(-1.0, 1.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
+    value = det_of_sum(scalars.reshape(-1, 1, 1))
+    assert abs(value - scalars.sum()) <= 1e-12 * np.abs(scalars).sum()
+    assert 1000 * 1000 <= engines_module._DET_OF_SUM_MAX_ENTRIES < 1225 * 1225
+    for r in (1225, 5000):
+        listed = engines_module._composition_table.cache_info().misses
+        with pytest.raises(GuardLimitError, match="entries"):
+            det_of_sum([np.eye(1)] * r)
+        assert engines_module._composition_table.cache_info().misses == listed
+
+
 def test_det_of_sum_memory_is_bounded():
     # the kernel's slices take a few 2^8-matrix arrays (0.7 MB at n = 6); all 462
     # repeated tuples of six 6 x 6 summands in one batch would add 1.6 MB

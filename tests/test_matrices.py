@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,54 @@ def test_trace_sum_plan_matches_explicit_products():
     value = trace_sum_plan(terms)(stack)
     assert isinstance(value, complex)
     assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def explicit_trace_sum(terms, stack):
+    """sum_t w_t prod_w Tr(stack[w_0] @ stack[w_1] @ ...), one explicit product at a time."""
+    total = 0.0
+    for weight, words in terms:
+        prod = weight
+        for word in words:
+            m = np.eye(stack.shape[-1])
+            for letter in word:
+                m = m @ stack[letter]
+            prod *= np.trace(m)
+        total += prod
+    return total
+
+
+def random_terms(rng, letters, count, max_words, max_length):
+    """``count`` terms of 1..max_words random words of 1..max_length letters."""
+    terms = []
+    for _ in range(count):
+        words = [
+            tuple(rng.choice(letters, rng.integers(1, max_length + 1)).tolist())
+            for _ in range(rng.integers(1, max_words + 1))
+        ]
+        terms.append((float(rng.uniform(-2.0, 2.0)), words))
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_sum_plan_matches_explicit_products_on_random_terms(seed):
+    rng = np.random.default_rng(4200 + seed)
+    n = int(rng.integers(1, 6))
+    # letter 2 is never used, and the stack has two rows past the last letter used
+    stack = np.array([random_matrix(n, 4300 + 10 * seed + k) for k in range(7)])
+    letters = [0, 1, 3, 4]
+    cases = [
+        random_terms(rng, letters, 12, 5, 6),  # uneven word counts and lengths
+        random_terms(rng, letters, 8, 4, 1),  # only one-letter words
+        [(1.5, [(3, 0, 1), (3, 0, 1), (1,)]), (-0.5, [(0, 4), (0, 4), (0, 4)])],  # a word repeated in a term
+    ]
+    norms = [np.linalg.norm(m, 2) for m in stack]
+    for terms in cases:
+        expected = explicit_trace_sum(terms, stack)
+        # |Tr(word)| <= n prod of its letters' spectral norms
+        scale = sum(abs(w) * math.prod(n * math.prod(norms[k] for k in word) for word in words) for w, words in terms)
+        value = trace_sum_plan(terms)(stack)
+        assert isinstance(value, complex)
+        assert abs(value - expected) <= 1e-13 * scale
 
 
 def test_trace_sum_plan_of_no_terms_is_zero():

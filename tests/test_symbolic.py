@@ -15,6 +15,7 @@ from polydet.combinatorics import (
     count_distinct_terms,
     enumerate_partition_vectors,
 )
+import polydet.symbolic as symbolic_module
 from polydet.engines import polydet_subset_sum
 from polydet.matrices import det, random_matrix
 from polydet.symbolic import (
@@ -213,6 +214,13 @@ def test_evaluate_names_the_first_unbound_label_in_term_order():
         evaluate(e, {"Y": np.eye(3)})
     with pytest.raises(KeyError, match="'A'"):
         evaluate(e, {"Y": np.eye(3), "Z": np.eye(3)})
+    # distinct labels evaluate with their slots in order C, A, B, but the first term is Tr(A) Tr(B) Tr(C)
+    e = expand_polydet(3, ["C", "A", "B"])
+    assert e.terms[0].words == (("A",), ("B",), ("C",))
+    with pytest.raises(KeyError, match="'A'"):
+        evaluate(e, {"B": np.eye(3)})
+    with pytest.raises(KeyError, match="'C'"):
+        evaluate(e, {"A": np.eye(3), "B": np.eye(3)})
 
 
 def test_evaluate_plan_holds_no_binding_state():
@@ -225,15 +233,40 @@ def test_evaluate_plan_holds_no_binding_state():
         assert abs(value - reference) <= 1e-12 * max(abs(reference), 1.0)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("compiled a plan")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_distinct_labels_evaluate_on_the_cycle_cover_plan(monkeypatch, n):
+    # the n! terms are the cycle covers: evaluate compiles nothing and agrees with
+    # the plan compiled from the same terms after a json round trip
+    labels = [f"M{k}" for k in range(n)]
+    binding = {label: random_matrix(n, 4400 + 10 * n + k) for k, label in enumerate(labels)}
+    e = expand_polydet(n, labels)
+    parsed = parse_expansion(render(e, "json"))
+    with monkeypatch.context() as patched:
+        patched.setattr(symbolic_module, "trace_sum_plan", refuse)
+        value = evaluate(e, binding)
+        with pytest.raises(AssertionError):
+            evaluate(parsed, binding)
+    compiled = evaluate(parsed, binding)
+    assert abs(value - compiled) <= 1e-12 * abs(compiled)
+
+
 def test_evaluated_expansion_still_round_trips():
     e = expand_polydet(4, ["A", "B", "C", "D"])
     fresh = expand_polydet(4, ["A", "B", "C", "D"])
-    evaluate(e, {label: random_matrix(4, 3950 + k) for k, label in enumerate("ABCD")})
+    binding = {label: random_matrix(4, 3950 + k) for k, label in enumerate("ABCD")}
+    value = evaluate(e, binding)
     assert parse_expansion(render(e, "json")) == e
     assert e == fresh and hash(e) == hash(fresh)
     assert render(e, "json") == render(fresh, "json")
     assert pickle.dumps(e) == pickle.dumps(fresh)
-    assert pickle.loads(pickle.dumps(e)) == e
+    reloaded = pickle.loads(pickle.dumps(e))
+    assert reloaded == e
+    # the reloaded expansion carries no plan and compiles its own
+    assert abs(evaluate(reloaded, binding) - value) <= 1e-12 * abs(value)
 
 
 def test_expand_guards():
