@@ -111,6 +111,9 @@ def canonicalize(word: Sequence) -> tuple:
     if not w:
         raise ValueError("empty trace word")
     first = min(w)  # the minimal rotation starts with the minimal letter
+    if w.count(first) == 1:  # only one rotation starts with it
+        i = w.index(first)
+        return w[i:] + w[:i]
     return min(w[i:] + w[:i] for i, letter in enumerate(w) if letter == first)
 
 

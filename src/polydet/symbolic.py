@@ -4,7 +4,15 @@ Words are tuples of matrix labels read cyclically, so Tr(ABC) and Tr(BCA)
 are the same word; the canonical spelling is the lexicographically minimal
 rotation.  Tr(ABC) and Tr(ACB) stay distinct.  Coefficients are exact
 rationals; floats only appear in :func:`evaluate`, which evaluates each
-binding in stacked products on the expansion's plan.  An expansion of n
+binding in stacked products on the expansion's plan.
+
+:func:`expand_polydet` depends on its labels only through which slots share
+one.  It numbers the distinct labels 0, ..., r-1 in sorted order and looks
+up the class table of their multiplicities: the expansion over those ids,
+built once per pattern by the cycle-cover loop (at most 62 patterns for
+n <= 6).  Spelling the ids in the labels is injective and keeps order, so
+the table's canonical rotations and word and term order are the labels'
+own, and a call only spells each distinct word once.  An expansion of n
 distinct labels from :func:`expand_polydet` carries the trace-formula
 engine's own cached plan of the n! cycle covers, one per term; any other
 expansion compiles its terms by the same ``trace_sum_plan`` on its first
@@ -15,9 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -116,17 +125,50 @@ def _merged(n: int, acc: Mapping[tuple[Word, ...], Fraction]) -> TraceExpansion:
     return TraceExpansion(n, tuple([TraceMonomial(acc[words], words) for words in kept]))
 
 
+IdWord = tuple[int, ...]
+
+
+@lru_cache(maxsize=64)  # one key per multiplicity pattern: 62 for 2 <= n <= 6
+def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]]:
+    """The expansion of slots holding class ids 0, ..., r-1 with these
+    multiplicities as (its distinct words in order of first appearance, its
+    terms as (coefficient, indices of their words)).
+
+    Each permutation's cycles are spelled in the slots' ids, canonicalized,
+    and its monomial gains sgn(sigma); each monomial's signed count becomes
+    one coefficient count / n!.  Relabeling the slots permutes the cycle
+    covers among themselves, so the slots are taken in order of their ids.
+    """
+    n = sum(multiplicities)
+    ids = [c for c, m in enumerate(multiplicities) for _ in range(m)]
+
+    def spell(cycle: tuple[int, ...]) -> IdWord:
+        return canonicalize([ids[i] for i in cycle])
+
+    spelled: dict[tuple[int, ...], tuple[int, IdWord]] = {}  # index cycle -> (length, canonical word)
+    counts: dict[tuple[IdWord, ...], int] = {}
+    for sign, cycles in cycle_covers(n):
+        words = _sorted_words(cycles, spelled, spell)
+        counts[words] = counts.get(words, 0) + sign
+    fact = math.factorial(n)
+    coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
+    terms = _merged(n, {words: coefficients[count] for words, count in counts.items()}).terms
+    index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([t.words for t in terms])))}
+    return tuple(index), tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in terms])
+
+
 def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     """Exact trace expansion of the mixed discriminant of n labelled slots.
 
     The cycle form of the determinant, polarized:
     n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
-    Tr(A_{i_1} ... A_{i_L}).  Each permutation's cycles are spelled in the
-    slots' labels, canonicalized, and its monomial gains sgn(sigma); each
-    monomial's signed count becomes one coefficient count / n!.  With n
-    distinct labels the n! terms are the cycle covers, one to one, and the
-    expansion carries their cached plan (``matrices.cycle_cover_plan``)
-    with the labels in slot order, so ``evaluate`` compiles nothing.
+    Tr(A_{i_1} ... A_{i_L}).  The sum is taken once per multiplicity
+    pattern (``_class_table``), over the distinct labels numbered in
+    sorted order; each call spells that table in its labels, which keeps
+    its canonical rotations and word and term order.  With n distinct labels
+    the n! terms are the cycle covers, one to one, and the expansion
+    carries their cached plan (``matrices.cycle_cover_plan``) with the
+    labels in slot order, so ``evaluate`` compiles nothing.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -135,20 +177,12 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
     if "" in labels:
         raise ValueError(f"label {labels.index('') + 1} of {n} is empty")
-
-    def spell(cycle: tuple[int, ...]) -> Word:
-        return canonicalize([labels[i] for i in cycle])
-
-    spelled: dict[tuple[int, ...], tuple[int, Word]] = {}  # index cycle -> (length, canonical word)
-    counts: dict[tuple[Word, ...], int] = {}
-    for sign, cycles in cycle_covers(n):
-        words = _sorted_words(cycles, spelled, spell)
-        counts[words] = counts.get(words, 0) + sign
-    fact = math.factorial(n)
-    coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
-    expansion = _merged(n, {words: coefficients[count] for words, count in counts.items()})
-    if len(set(labels)) == n:  # its terms are the cycle covers, one to one
-        expansion.__dict__["_plan"] = labels, cycle_cover_plan(n), fact
+    names = sorted(set(labels))
+    words, terms = _class_table(tuple(map(labels.count, names)))
+    spelled = [tuple([names[i] for i in word]) for word in words]
+    expansion = TraceExpansion(n, tuple([TraceMonomial(coef, tuple([spelled[j] for j in js])) for coef, js in terms]))
+    if len(names) == n:  # its terms are the cycle covers, one to one
+        expansion.__dict__["_plan"] = labels, cycle_cover_plan(n), math.factorial(n)
     return expansion
 
 
@@ -269,24 +303,54 @@ def render(expansion: TraceExpansion, format: str = "text") -> str:
 def parse_expansion(text) -> TraceExpansion:
     """Inverse of render(..., 'json'); normalizes words and term order.
 
-    Each word must be a list of labels, and each term's words must have n
-    letters in all; a term that breaks either raises ValueError naming it.
+    ``n`` must be a positive integer.  Each term must be an object with
+    "coef" and "words" fields.  Each coefficient must be a
+    [numerator, denominator] list of integers or their strings, the
+    denominator non-zero; each word a non-empty list of non-empty string
+    labels; and each term's words must have n letters in all.  A term that
+    breaks any of these raises ValueError naming it.  Each distinct
+    coefficient spelling and word is checked once, when first seen.
     """
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
-    n = int(obj["n"])
+    if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
+        raise ValueError('expansion JSON must be an object with "n" and "terms" fields')
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f'"n" must be a positive integer, got {n!r}')
+
+    # both readers name the term k that the loop below is reading
+    def read_coefficient(spelling) -> Fraction:
+        if type(spelling) is list and len(spelling) == 2 and all(type(part) in (int, str) for part in spelling):
+            with suppress(ValueError):  # a string that is no integer
+                num, den = map(int, spelling)
+                if den:
+                    return Fraction(num, den)
+        raise ValueError(f"term {k}: a coefficient must be [numerator, denominator] with a non-zero denominator, got {spelling!r}")
+
+    checked: set[str] = set()  # the labels found to be non-empty strings
+
+    def read_word(word: Word) -> Word:
+        if not word or not checked.issuperset(word):
+            if not (word and all(type(label) is str and label for label in word)):
+                raise ValueError(f"term {k}: a word must be a non-empty list of non-empty string labels, got {list(word)!r}")
+            checked.update(word)
+        return canonicalize(word)
+
     spelled: dict[Word, tuple[int, Word]] = {}
     coefficients: dict[tuple, Fraction] = {}  # the (num, den) spelling -> its value
     acc: dict[tuple[Word, ...], Fraction] = {}
     for k, entry in enumerate(obj["terms"]):
-        spelling = tuple(entry["coef"])
-        coef = coefficients.get(spelling)
-        if coef is None:
-            num, den = spelling
-            coef = coefficients[spelling] = Fraction(int(num), int(den))
-        listed = entry["words"]
-        if str in map(type, listed):
-            raise ValueError(f"term {k}: a word must be a list of labels, got {listed!r}")
-        words = _sorted_words(map(tuple, listed), spelled, canonicalize)
+        try:
+            spelling, listed = entry["coef"], entry["words"]
+            coef = coefficients.get(tuple(spelling)) if type(spelling) is list else None
+            if coef is None:
+                coef = coefficients[tuple(spelling)] = read_coefficient(spelling)
+            if str in map(type, listed):
+                raise ValueError(f"term {k}: a word must be a list of labels, got {listed!r}")
+            words = _sorted_words(map(tuple, listed), spelled, read_word)
+        except (KeyError, TypeError):  # a field missing, or a part that is not iterable or not hashable
+            shape = '{"coef": [numerator, denominator], "words": [[label, ...], ...]}'
+            raise ValueError(f"term {k}: a term must read {shape}, got {entry!r}") from None
         letters = sum(map(len, words))
         if letters != n:
             raise ValueError(f"term {k}: word lengths sum to {letters}, not n = {n}")

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polydet.combinatorics import (
     GuardLimitError,
+    compositions,
     count_distinct_terms,
+    cycle_covers,
     enumerate_partition_vectors,
 )
 import polydet.symbolic as symbolic_module
@@ -47,7 +49,12 @@ def test_canonicalize_single_letter():
     assert canonicalize(("A",)) == ("A",)
 
 
-@given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=6))
+# words whose minimal letter occurs once take canonicalize's fast path; the
+# rest compare every rotation that starts with it, and in the examples the
+# minimal rotation does not start at the first occurrence
+@given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=6) | st.lists(st.integers(0, 2), min_size=1, max_size=8))
+@example(["B", "A", "C", "A"])
+@example([2, 0, 1, 0, 0])
 def test_canonicalize_idempotent_and_rotation_invariant(letters):
     word = tuple(letters)
     canon = canonicalize(word)
@@ -131,6 +138,79 @@ def test_label_permutation_symmetry():
     base = expand_polydet(3, ["A", "B", "C"])
     for order in itertools.permutations(["A", "B", "C"]):
         assert expand_polydet(3, list(order)) == base
+
+
+def expansion_loop_reference(n, labels):
+    """The expansion by the per-cover loop, spelled in the labels themselves:
+    each cycle cover's words canonicalized as the minimal rotation and sorted
+    by (length, word), signs counted per monomial, the non-zero counts over n!
+    kept in term order."""
+    counts = {}
+    for sign, cycles in cycle_covers(n):
+        words = [tuple(labels[i] for i in cycle) for cycle in cycles]
+        words = [min(w[i:] + w[:i] for i in range(len(w))) for w in words]
+        key = tuple(sorted(words, key=lambda w: (len(w), w)))
+        counts[key] = counts.get(key, 0) + sign
+    kept = sorted((key for key, count in counts.items() if count), key=lambda k: (-len(k), [len(w) for w in k], k))
+    return TraceExpansion(n, tuple(TraceMonomial(Fraction(counts[key], math.factorial(n)), key) for key in kept))
+
+
+def multiplicity_patterns(n):
+    """Every multiplicity pattern of n slots: the compositions of n into positive parts."""
+    return [comp for r in range(1, n + 1) for comp in compositions(n, r) if all(comp)]
+
+
+def slot_labels(pattern, names, seed):
+    """Labels with these multiplicities of the names, in a shuffled slot order."""
+    labels = [name for name, m in zip(names, pattern) for _ in range(m)]
+    np.random.default_rng(seed).shuffle(labels)
+    return labels
+
+
+def assert_matches_loop_reference(n, labels):
+    e = expand_polydet(n, labels)
+    reference = expansion_loop_reference(n, [str(label) for label in labels])
+    assert e == reference
+    assert render(e, "json") == render(reference, "json")
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_expand_matches_the_loop_reference_on_every_multiplicity_pattern(n):
+    patterns = multiplicity_patterns(n)
+    assert len(patterns) == 2 ** (n - 1)
+    for k, pattern in enumerate(patterns):
+        assert_matches_loop_reference(n, slot_labels(pattern, "ABCDEF", 100 * n + k))
+
+
+@pytest.mark.parametrize("pattern", [(1,) * 6, (6,), (1, 5), (3, 2, 1), (1, 2, 3), (2, 2, 2), (2, 1, 1, 2)])
+def test_expand_matches_the_loop_reference_at_n6(pattern):
+    assert_matches_loop_reference(6, slot_labels(pattern, "PQRSTU", sum(pattern) * len(pattern)))
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("B", "a", "C", "b"),  # "B" < "C" < "a" < "b" as strings
+        ("A2", "A10", "A1", "B"),  # "A1" < "A10" < "A2" as strings
+        ("\u00e9", "e", "f\u0301", "\u00c9"),
+        ("gamma", "alpha", "beta", "delta"),
+        (7, 10, 8, 9),  # labels are their str(): "10" < "7"
+    ],
+)
+def test_expand_matches_the_loop_reference_for_labels_that_sort_as_strings(names):
+    for n in (4, 5):
+        for k, pattern in enumerate(multiplicity_patterns(n)):
+            if len(pattern) <= len(names):
+                assert_matches_loop_reference(n, slot_labels(pattern, names, 10 * n + k))
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_every_slot_order_gives_the_same_expansion(n):
+    for k, pattern in enumerate(multiplicity_patterns(n)):
+        labels = slot_labels(pattern, ["x2", "x10", "x1", "X"], 10 * n + k)
+        base = expand_polydet(n, labels)
+        for order in itertools.permutations(labels):
+            assert expand_polydet(n, order) == base
 
 
 def test_numeric_equivalence_with_engine():
@@ -331,10 +411,10 @@ def json_payload_reference(expansion):
     [
         expand_polydet(4, ["\u00e9", '"q"', "a\\b", "Z"]),
         expand_polydet(3, ["B", "A", "B"]),
-        parse_expansion('{"n": 3, "terms": [{"coef": [3, -6], "words": [[2, 1], [1]]}, {"coef": ["4", "1"], "words": [[1, 1, 2]]}]}'),
+        parse_expansion('{"n": 3, "terms": [{"coef": [3, -6], "words": [["2", "1"], ["1"]]}, {"coef": ["4", "1"], "words": [["1", "1", "2"]]}]}'),
         TraceExpansion(2, ()),
     ],
-    ids=("escaped-labels", "repeated-labels", "integer-labels", "no-terms"),
+    ids=("escaped-labels", "repeated-labels", "integer-coefficients", "no-terms"),
 )
 def test_render_json_is_json_dumps_of_the_payload(expansion):
     assert render(expansion, "json") == json_payload_reference(expansion)
@@ -434,20 +514,66 @@ def test_parse_expansion_canonicalizes_sums_and_drops_zeros():
     assert [type(t.coefficient) for t in parsed.terms] == [Fraction] * 3
 
 
+TERM_SHAPE = '{"coef": [numerator, denominator], "words": [[label, ...], ...]}'
+
+
+def terms_of_n2(*terms):
+    return {"n": 2, "terms": list(terms)}
+
+
 @pytest.mark.parametrize(
-    "terms, message",
+    "payload, message",
     [
         # a word spelled as one JSON string would read as its letters, Tr(A*B)
-        ([{"coef": ["1", "1"], "words": ["AB"]}], "term 0: a word must be a list of labels, got ['AB']"),
-        ([{"coef": ["1", "2"], "words": [["A"], ["B"]]}, {"coef": ["1", "1"], "words": [["A", "B", "C"]]}],
+        (terms_of_n2({"coef": ["1", "1"], "words": ["AB"]}), "term 0: a word must be a list of labels, got ['AB']"),
+        (terms_of_n2({"coef": ["1", "2"], "words": [["A"], ["B"]]}, {"coef": ["1", "1"], "words": [["A", "B", "C"]]}),
          "term 1: word lengths sum to 3, not n = 2"),
-        ([{"coef": ["1", "1"], "words": [["A"]]}], "term 0: word lengths sum to 1, not n = 2"),
+        (terms_of_n2({"coef": ["1", "1"], "words": [["A"]]}), "term 0: word lengths sum to 1, not n = 2"),
+        # n would have read as int(2.9) == 2, and True, 0 and -3 as themselves
+        ({"n": 2.9, "terms": []}, '"n" must be a positive integer, got 2.9'),
+        ({"n": True, "terms": []}, '"n" must be a positive integer, got True'),
+        ({"n": 0, "terms": []}, '"n" must be a positive integer, got 0'),
+        ({"n": -3, "terms": []}, '"n" must be a positive integer, got -3'),
+        # a spelling seen first in a later term is checked there
+        (terms_of_n2({"coef": ["1", "2"], "words": [["A"], ["B"]]}, {"coef": ["1", "0"], "words": [["A", "B"]]}),
+         "term 1: a coefficient must be [numerator, denominator] with a non-zero denominator, got ['1', '0']"),
+        (terms_of_n2({"coef": ["1", "2", "3"], "words": [["A", "B"]]}),
+         "term 0: a coefficient must be [numerator, denominator] with a non-zero denominator, got ['1', '2', '3']"),
+        (terms_of_n2({"coef": ["1/2", "1"], "words": [["A", "B"]]}),
+         "term 0: a coefficient must be [numerator, denominator] with a non-zero denominator, got ['1/2', '1']"),
+        (terms_of_n2({"coef": "12", "words": [["A", "B"]]}),
+         "term 0: a coefficient must be [numerator, denominator] with a non-zero denominator, got '12'"),
+        (terms_of_n2({"coef": ["1", "2"], "words": [["A", "B"]]}, {"coef": ["1", ["2"]], "words": [["A", "B"]]}),
+         "term 1: a term must read " + TERM_SHAPE + ", got {'coef': ['1', ['2']], 'words': [['A', 'B']]}"),
+        (terms_of_n2({"coef": ["1", "1"], "words": [["A", ["B"]]]}),
+         "term 0: a term must read " + TERM_SHAPE + ", got {'coef': ['1', '1'], 'words': [['A', ['B']]]}"),
+        (terms_of_n2({"coef": ["1", "1"], "words": [5]}),
+         "term 0: a term must read " + TERM_SHAPE + ", got {'coef': ['1', '1'], 'words': [5]}"),
+        (terms_of_n2({"coef": ["1", "1"]}), "term 0: a term must read " + TERM_SHAPE + ", got {'coef': ['1', '1']}"),
+        (terms_of_n2("AB"), "term 0: a term must read " + TERM_SHAPE + ", got 'AB'"),
+        ({"n": 2}, 'expansion JSON must be an object with "n" and "terms" fields'),
+        ([2, []], 'expansion JSON must be an object with "n" and "terms" fields'),
+        # integer labels would parse, then fail to render as text
+        (terms_of_n2({"coef": ["1", "1"], "words": [[1], [2]]}),
+         "term 0: a word must be a non-empty list of non-empty string labels, got [1]"),
+        # an empty label would render Tr(), though expand_polydet rejects it
+        (terms_of_n2({"coef": ["1", "1"], "words": [["A", "B"]]}, {"coef": ["1", "1"], "words": [[""], ["A"]]}),
+         "term 1: a word must be a non-empty list of non-empty string labels, got ['']"),
+        (terms_of_n2({"coef": ["1", "1"], "words": [[], ["A", "B"]]}),
+         "term 0: a word must be a non-empty list of non-empty string labels, got []"),
     ],
-    ids=("string-word", "too-many-letters", "too-few-letters"),
+    ids=(
+        "string-word", "too-many-letters", "too-few-letters",
+        "float-n", "boolean-n", "zero-n", "negative-n",
+        "zero-denominator", "three-part-coefficient", "fraction-string-coefficient",
+        "string-coefficient", "unhashable-coefficient-part", "unhashable-label", "word-not-a-list",
+        "missing-words", "term-not-an-object", "missing-terms", "not-an-object",
+        "integer-labels", "empty-label", "empty-word",
+    ),
 )
-def test_parse_expansion_rejects_a_term_that_is_not_n_letters_of_labels(terms, message):
+def test_parse_expansion_rejects_a_term_that_is_not_n_letters_of_labels(payload, message):
     with pytest.raises(ValueError) as info:
-        parse_expansion(json.dumps({"n": 2, "terms": terms}))
+        parse_expansion(json.dumps(payload))
     assert str(info.value) == message
 
 
