@@ -47,12 +47,11 @@ returns their B values: ``subset_sum`` evaluates the whole batch in stacked
 ``det`` calls of at most 2^8 matrices, the other four run their one-tuple
 kernel on each row.  ``polydet`` validates one tuple and runs it as a batch
 of one; ``polydet_many`` validates a whole batch once.  With the default
-engine at N >= 4 both find repeated arguments by exact equality of their
-bytes (a batch of four or more tuples first sorts each tuple's integer keys
-of its matrices, so only rows whose grid may pay are checked one by one) and
-run one grid kernel per multiplicity pattern; every other tuple, all-distinct
-or not, and every tuple at N <= 3 take the all-ones pattern over their own
-argument positions.  ``det_of_sum`` validates its summands once, is guarded
+engine at N >= 4 both plan each tuple alone (``_row_plan``), finding its
+repeated arguments by exact equality of their bytes, and run one grid kernel
+per multiplicity pattern; every other tuple, all-distinct or not, and every
+tuple at N <= 3 take the all-ones pattern over their own argument
+positions.  ``det_of_sum`` validates its summands once, is guarded
 by the compositions it would list, their entries and the determinants it
 would take, and takes its compositions from a table cached per (N, r), each
 on its own grid.
@@ -307,44 +306,18 @@ def _row_plan(stack: np.ndarray) -> Optional[tuple[tuple[int, ...], list[int]]]:
     return pattern, [run[0] for run in runs]
 
 
-def _candidate_rows(batch: np.ndarray) -> list[int]:
-    """The rows of a validated (B, N, N, N) batch whose roots grid may pay.
-
-    A matrix's key is a position-weighted sum of its 64-bit words, so equal
-    matrices have equal keys; each tuple's runs of equal sorted keys bound
-    its multiplicities from above.  Keys shared by distinct matrices only
-    merge runs, which never makes the grid larger, so no row whose grid
-    pays is missed.
-    """
-    b, n = batch.shape[:2]
-    keys = np.ascontiguousarray(batch).reshape(b, n, -1).view(np.int64) @ np.arange(1, 2 * n * n + 1)
-    keys.sort(axis=1)
-    # bit i of a row's code is set when its sorted keys i and i + 1 are equal
-    codes = ((keys[:, 1:] == keys[:, :-1]) @ (1 << np.arange(n - 1))).tolist()
-    paying = {code for code in set(codes) if code and _code_pays(n, code)}
-    return [row for row, code in enumerate(codes) if code in paying] if paying else []
-
-
-@lru_cache(maxsize=1024)
-def _code_pays(n: int, code: int) -> bool:
-    """Whether the roots grid pays for the runs of N = n sorted keys whose bit i
-    of ``code`` says that keys i and i + 1 are equal."""
-    cuts = [0, *(i + 1 for i in range(n - 1) if not code >> i & 1), n]
-    return _roots_grid_pays(tuple(sorted(end - start for start, end in zip(cuts, cuts[1:]))))
-
-
 def _default_values(batch: np.ndarray) -> np.ndarray:
     """The values of a validated batch by the default kernel.
 
-    One ``_grid_values`` call per multiplicity pattern: tuples with
+    Each row is planned alone by ``_row_plan``, as a single call is, then
+    one ``_grid_values`` call runs per multiplicity pattern: tuples with
     repeated arguments whose roots grid pays are taken on it, the rest (at
     N <= 3, the whole batch in row order) as pattern (1, ..., 1) over their
     own argument positions, on the +-1 sign grid.
     """
     b, n = batch.shape[:2]
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    # no grid pays at N <= LEIBNIZ_MAX_N; up to three rows are cheaper to plan one by one than to key and sort
-    for row in () if n <= LEIBNIZ_MAX_N else range(b) if b < 4 else _candidate_rows(batch):
+    for row in range(b) if n > LEIBNIZ_MAX_N else ():
         plan = _row_plan(batch[row])
         if plan:
             rows, index = groups.setdefault(plan[0], ([], []))

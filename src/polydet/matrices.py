@@ -62,7 +62,14 @@ class SingularMatrixError(ValueError):
 
 
 def _as_square(m, name: str, ndim: int) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except ValueError:
+        # parts of different shapes do not stack: name their shapes; a batch's tuple that does not stack names its own
+        shapes = sorted({np.shape(p) if ndim == 3 else _as_square(p, name, 3).shape for p in m}) if ndim > 2 else []
+        if len(shapes) > 1:
+            raise ValueError(f"{name} mixes {('matrix', 'tuple')[ndim - 3]} shapes {shapes}") from None
+        raise
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         what = ("square", "a stack of square matrices", "a batch of stacks of square matrices")[ndim - 2]
         raise ValueError(f"{name} must be {what} with n >= 1, got shape {a.shape}")
@@ -79,13 +86,7 @@ def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
 def as_stack(mats: Sequence, *, name: str = "matrix tuple") -> np.ndarray:
     """Coerce equal-size square matrices to one finite (N, n, n) complex128
     stack in one conversion; such an array is returned as it is."""
-    try:
-        return _as_square(mats, name, 3)
-    except ValueError:
-        shapes = sorted({np.shape(m) for m in mats})
-        if len(shapes) > 1:
-            raise ValueError(f"{name} mixes matrix shapes {shapes}") from None
-        raise
+    return _as_square(mats, name, 3)
 
 
 def validate_matrix_tuple(mats: Sequence, *, batched: bool = False) -> tuple[int, np.ndarray]:

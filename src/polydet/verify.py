@@ -145,6 +145,8 @@ def run_property_suite(
     """Run every property for every dimension; deterministic for fixed inputs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if len(n_values) == 0:
+        raise ValueError("n_values is empty, so the suite would check nothing")
     if bad := [n for n in n_values if n < 2]:
         raise ValueError(f"every n in n_values must be >= 2, got {bad[0]}")
     if engines is None:

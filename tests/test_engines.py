@@ -725,6 +725,12 @@ def test_polydet_many_errors_match_polydet():
     for shape in ((1, 2, 2, 3), (2, 2, 2)):
         kind, message = raised(polydet_many, np.zeros(shape))
         assert kind is ValueError and str(shape) in message
+    # tuples of different shapes name them, as matrices of different shapes in a tuple do
+    kind, message = raised(polydet_many, [[identity(2)] * 2, [identity(3)] * 3])
+    assert kind is ValueError and message == "matrix tuple mixes tuple shapes [(2, 2, 2), (3, 3, 3)]"
+    ragged = [identity(2), identity(3)]
+    assert raised(polydet_many, [[identity(2)] * 2, ragged]) == raised(polydet, ragged)
+    assert "mixes matrix shapes [(2, 2), (3, 3)]" in raised(polydet, ragged)[1]
 
 
 def test_polydet_many_empty_batch():
@@ -942,9 +948,10 @@ def test_polydet_many_rows_with_repeated_arguments_equal_single_calls(n, low_bit
 
 
 def test_matrices_that_share_a_key_are_told_apart():
-    # batches sort tuples by a weighted sum of each matrix's 64-bit words; a
-    # matrix changed in two words so that the sum stays put must still count as
-    # distinct, in a batch as in a single call
+    # b is a with two 64-bit words changed, away from the first entry, so that
+    # a weighted sum of the words stays put: the rows share first entries, so
+    # only ``_row_plan``'s byte stage tells a from b, in a batch of four rows as
+    # in a single call
     rng = np.random.default_rng(4400)
     n = 4
     a = rng.uniform(1, 2, (n, n)) + 1j * rng.uniform(1, 2, (n, n))
@@ -956,12 +963,37 @@ def test_matrices_that_share_a_key_are_told_apart():
     assert not np.array_equal(a, b)
     weights = np.arange(1, 2 * n * n + 1)
     assert weights @ a.view(np.int64).ravel() == weights @ words
-    rows = [[a, b, b, b], [b, b, b, b], [a, a, b, b]]
+    rows = [[a, b, b, b], [b, b, b, b], [a, a, b, b], [b, a, a, a]]
+    assert all(m[0, 0] == a[0, 0] for row in rows for m in row)
     got = polydet_many(np.array(rows))
     singles = [polydet(row) for row in rows]
-    assert [s.grid for s in singles] == ["roots", "roots", "roots"]
+    assert [s.grid for s in singles] == ["roots", "roots", "roots", "roots"]
     assert all(got[k] == s.value for k, s in enumerate(singles))
     assert abs(singles[0].value - polydet_volume(rows[0]).value) <= 1e-12 * abs(singles[0].value)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_batches_plan_each_row_once(n, monkeypatch):
+    # a batch is planned row by row, as single calls are: all-distinct rows,
+    # rows whose repeats pay and rows whose repeats do not are each planned once
+    rng = np.random.default_rng([4450, n])
+    a, b = rand_tuple(n, 4460 + n)[:2]
+    rows = [rand_tuple(n, 4470 + n + 10 * k) for k in range(3)]
+    rows += [[a] * (n - 1) + [b], [a, a] + rows[0][2:], [b] * n, [a] * (n - 1) + [b]]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    singles = [polydet(row) for row in rows]
+    planned = []
+    row_plan = engines_module._row_plan
+
+    def counting_plan(stack):
+        planned.append(stack.tobytes())
+        return row_plan(stack)
+
+    monkeypatch.setattr(engines_module, "_row_plan", counting_plan)
+    got = polydet_many(np.array(rows))
+    assert planned == [np.array(row, dtype=np.complex128).tobytes() for row in rows]
+    assert {single.grid for single in singles} == {"roots", "signs"}
+    assert all(got[k] == single.value for k, single in enumerate(singles))
 
 
 def test_distinct_tuples_stay_on_the_sign_table():
@@ -984,7 +1016,6 @@ def test_no_repeat_detection_below_lu_size(n, monkeypatch):
         raise AssertionError("repeat detection at n <= 3")
 
     monkeypatch.setattr(engines_module, "_row_plan", refuse)
-    monkeypatch.setattr(engines_module, "_candidate_rows", refuse)
     for seed in range(5):
         a, b, c = (random_matrix(n, 4700 + 10 * seed + k) for k in range(3))
         for got, expected in ((polydet([a] * n).value, det(a)), (det_of_sum([a, b, c]), det(a + b + c))):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polydet.engines import ENGINES, PolydetResult
 from polydet.verify import (
     PROPERTY_NAMES,
@@ -49,6 +51,12 @@ def test_suite_detects_corrupted_engine():
     failing = {r.name for r in results if not r.passed}
     assert "volume_form" in failing
     assert "cross_engine" in failing
+
+
+def test_suite_refuses_an_empty_n_values():
+    # a run over no n checks nothing, so report_json must not get to say it passed
+    with pytest.raises(ValueError, match="n_values is empty"):
+        run_property_suite(seed=5, trials=2, n_values=())
 
 
 def test_report_lines_format():
