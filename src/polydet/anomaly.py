@@ -37,7 +37,7 @@ import numpy as np
 
 from .engines import DEFAULT_ENGINE, _kernel, polydet, polydet_many
 # ``det`` is the trusted stack kernel: the stacks it gets are assembled or validated here
-from .matrices import as_matrix, det_stack as det, identity, validate_matrix_tuple
+from .matrices import _float_array, as_matrix, det_stack as det, identity, validate_matrix_tuple
 
 __all__ = [
     "GeneratorBasis",
@@ -592,8 +592,8 @@ def field_config_from_json(obj) -> FieldConfiguration:
             raise ValueError(f"multiplet {i} must be an object, got {type(entry).__name__}")
         if unknown := [key for key in entry if key not in ("s", "p")]:
             raise ValueError(f'multiplet {i} has unknown key {unknown[0]!r}; expected "s" or "p"')
-        s = np.asarray(entry.get("s", [0.0] * n * n), dtype=float)
-        p = np.asarray(entry.get("p", [0.0] * n * n), dtype=float)
+        s = _float_array(entry.get("s", [0.0] * n * n), f'multiplet {i} "s"')
+        p = _float_array(entry.get("p", [0.0] * n * n), f'multiplet {i} "p"')
         if s.shape != (n * n,) or p.shape != (n * n,):
             raise ValueError(f"multiplet {i} components must have length {n * n}")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):

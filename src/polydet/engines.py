@@ -30,12 +30,13 @@ arguments coincide.  The engines compute it by these routes:
     trace_formula     the cycle form of the determinant, polarized:
                       (1/N!) sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
                       Tr(A_{i_1} ... A_{i_L}),
-                      on the cycle-cover plan compiled once per N
-                      (``matrices.cycle_cover_plan``): the cycle prefixes
-                      of each length in one stacked matmul, the traces of
-                      the cycles of two or more letters from one product of
-                      the prefixes with the transposed letters, and the N!
-                      signed products from one gather, multiplied row by row
+                      on the plan of the expansion of N distinct labels,
+                      compiled once per N (``symbolic._class_table``): the
+                      cycle prefixes of each length in one stacked matmul,
+                      the traces of the cycles of two or more letters from
+                      one product of the prefixes with the transposed
+                      letters, and the N! weighted products from one
+                      gather, multiplied row by row
     volume            signed average of N! row-mixed oriented volumes, by LU:
                       (1/N!) sum_sigma sgn(sigma) det(M_sigma), 256 sigma at
                       a time, where row i of M_sigma is row sigma(i) of A_i
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -77,8 +79,9 @@ from .combinatorics import (
 )
 # the kernels call their determinants through the module name ``det``, bound to
 # the trusted stack kernel: stacks made here are already validated
-from .matrices import LEIBNIZ_MAX_N, as_stack, cycle_cover_plan, det_leibniz, signed_permutations, validate_matrix_tuple
+from .matrices import LEIBNIZ_MAX_N, as_stack, det_leibniz, signed_permutations, validate_matrix_tuple
 from .matrices import det_stack as det
+from .symbolic import _class_table
 
 __all__ = [
     "PolydetResult",
@@ -335,11 +338,6 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_formula_value(stack: np.ndarray) -> complex:
-    n = stack.shape[0]
-    return cycle_cover_plan(n)(stack) / math.factorial(n)
-
-
 def _rows(kernel: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], np.ndarray]:
     """The batch kernel that runs a one-tuple kernel on each row of a batch."""
     return lambda batch: np.array([kernel(stack) for stack in batch], dtype=np.complex128)
@@ -350,7 +348,7 @@ _TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
     "naive": (_rows(_naive_value), 6),
     "permutation_pair": (_rows(lambda stack: _row_mixed_sum(stack, det_leibniz, _LEIBNIZ_CHUNK)), 7),
     "subset_sum": (_default_values, SUBSET_MAX_N),
-    "trace_formula": (_rows(_trace_formula_value), 7),
+    "trace_formula": (_rows(lambda stack: _class_table((1,) * len(stack))[2](stack)), 7),
     "volume": (_rows(lambda stack: _row_mixed_sum(stack, np.linalg.det, _LU_CHUNK)), 8),
 }
 
@@ -410,9 +408,10 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
     Row b equals ``polydet(tuples[b], engine).value`` exactly.
     """
     name = DEFAULT_ENGINE if engine is None else engine
-    if len(tuples) == 0:
-        _kernel(name, 0)  # an unknown name still raises
-        return np.empty(0, dtype=np.complex128)
+    with suppress(TypeError):  # no length, as a number has: validation names its shape
+        if len(tuples) == 0:
+            _kernel(name, 0)  # an unknown name still raises
+            return np.empty(0, dtype=np.complex128)
     n, batch = validate_matrix_tuple(tuples, batched=True)
     return _kernel(name, n)(batch)
 

@@ -7,10 +7,9 @@ trusted kernel that the engines and :func:`inverse` call on stacks they
 have already made or checked: :func:`det_leibniz` for n <= 3, over the one
 cached table :func:`signed_permutations`, and LAPACK LU above.
 :func:`trace_sum_plan` compiles a weighted sum of products of word traces
-once, to be evaluated on any stack in stacked products; every plan is
-compiled by it.  :func:`cycle_cover_plan` is its cached per-n plan of the cycle
-form of the determinant, which the trace-formula engine and the
-expansions of distinct labels share.  All functions are pure.
+once, to be evaluated on any stack in stacked products; the symbolic
+layer compiles every expansion's plan, and the trace-formula engine's, by
+it.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import cycle_covers, permutation_sign
+from .combinatorics import permutation_sign
 
 __all__ = [
     "SingularMatrixError",
@@ -31,7 +30,6 @@ __all__ = [
     "as_stack",
     "validate_matrix_tuple",
     "trace_sum_plan",
-    "cycle_cover_plan",
     "det",
     "det_stack",
     "det_leibniz",
@@ -61,12 +59,32 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a matrix whose determinant is below the floor."""
 
 
+def _shape(part, name: str) -> tuple[int, ...]:
+    """np.shape(part); a part whose nested lists do not form an array raises ValueError naming it."""
+    try:
+        return np.shape(part)
+    except ValueError:
+        raise ValueError(f"{name} is ragged: its nested lists do not form an array") from None
+
+
+def _float_array(part, name: str) -> np.ndarray:
+    """A JSON field as a float array; a ragged one raises ValueError naming it."""
+    try:
+        return np.asarray(part, dtype=np.float64)
+    except ValueError:
+        _shape(part, name)
+        raise
+
+
 def _as_square(m, name: str, ndim: int) -> np.ndarray:
     try:
         a = np.asarray(m, dtype=np.complex128)
     except ValueError:
+        if ndim == 2:
+            _shape(m, name)  # a ragged matrix names itself
+            raise
         # parts of different shapes do not stack: name their shapes; a batch's tuple that does not stack names its own
-        shapes = sorted({np.shape(p) if ndim == 3 else _as_square(p, name, 3).shape for p in m}) if ndim > 2 else []
+        shapes = sorted({_shape(p, f"{name}[{k}]") if ndim == 3 else _as_square(p, name, 3).shape for k, p in enumerate(m)})
         if len(shapes) > 1:
             raise ValueError(f"{name} mixes {('matrix', 'tuple')[ndim - 3]} shapes {shapes}") from None
         raise
@@ -165,15 +183,6 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
         return complex(weights @ np.multiply.reduce(tr[index], axis=0))
 
     return value
-
-
-@lru_cache(maxsize=16)
-def cycle_cover_plan(n: int) -> Callable[[np.ndarray], complex]:
-    """sum_sigma sgn(sigma) prod_{cycles c of sigma} Tr(c) over the permutations
-    of range(n), compiled once per n: n! times the mixed discriminant of an
-    (n, n, n) stack.  The trace-formula engine and every expansion of n
-    distinct labels evaluate on this one plan."""
-    return trace_sum_plan((float(sign), cycles) for sign, cycles in cycle_covers(n))
 
 
 @lru_cache(maxsize=16)
@@ -316,8 +325,8 @@ def matrix_from_json(obj) -> np.ndarray:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f'"n" must be an integer, got {n!r}')
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
+    re = _float_array(obj["re"], '"re"')
+    im = _float_array(obj["im"], '"im"') if "im" in obj else np.zeros_like(re)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f'"re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}')
     return as_matrix(re + 1j * im)

@@ -12,11 +12,12 @@ up the class table of their multiplicities: the expansion over those ids,
 built once per pattern by the cycle-cover loop (at most 62 patterns for
 n <= 6).  Spelling the ids in the labels is injective and keeps order, so
 the table's canonical rotations and word and term order are the labels'
-own, and a call only spells each distinct word once.  An expansion of n
-distinct labels from :func:`expand_polydet` carries the trace-formula
-engine's own cached plan of the n! cycle covers, one per term; any other
-expansion compiles its terms by the same ``trace_sum_plan`` on its first
-evaluation and keeps the plan.
+own, and a call only spells each distinct word once.  Every plan is
+compiled by ``TraceExpansion._plan``, over the labels in sorted order.  The
+class table keeps the plan of its expansion over the ids: each expansion of
+its pattern carries it, and the trace-formula engine evaluates the
+all-distinct pattern's.  Any other expansion, such as a parsed one,
+compiles its own plan on its first evaluation and keeps it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .combinatorics import (
     cycle_covers,
     multinomial,
 )
-from .matrices import as_matrix, cycle_cover_plan, trace_sum_plan
+from .matrices import as_matrix, trace_sum_plan
 
 __all__ = [
     "TraceMonomial",
@@ -68,13 +69,12 @@ class TraceExpansion:
     terms: tuple[TraceMonomial, ...]
 
     @cached_property
-    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex], int]:
-        """(labels, plan, divisor): the plan of the terms over the stack of the
-        labels' matrices in that order, whose value divided by the divisor is
-        the expansion's.  Compiled here with the labels in order of first
-        appearance and divisor 1; ``expand_polydet`` sets it for distinct labels."""
+    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex]]:
+        """(labels, plan): the plan of the terms over the stack of the labels'
+        matrices, the labels in sorted order, whose value is the expansion's.
+        Every plan is compiled here; ``expand_polydet`` sets its class table's."""
         spelled: dict[Word, tuple[int, ...]] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
-        slots = {label: i for i, label in enumerate(dict.fromkeys(chain.from_iterable(spelled)))}
+        slots = {label: i for i, label in enumerate(sorted(set(chain.from_iterable(spelled))))}
         for w in spelled:
             spelled[w] = tuple(map(slots.__getitem__, w))
         weights: dict[tuple[int, int], float] = {}  # (numerator, denominator) -> its float
@@ -85,7 +85,7 @@ class TraceExpansion:
             if weight is None:
                 weight = weights[key] = float(coef)
             terms.append((weight, [spelled[w] for w in words]))
-        return tuple(slots), trace_sum_plan(terms), 1
+        return tuple(slots), trace_sum_plan(terms)
 
     def __getstate__(self) -> dict:
         """Pickle the fields alone: the plan is a cache, rebuilt on demand."""
@@ -126,13 +126,15 @@ def _merged(n: int, acc: Mapping[tuple[Word, ...], Fraction]) -> TraceExpansion:
 
 
 IdWord = tuple[int, ...]
+IdTerm = tuple[Fraction, tuple[int, ...]]  # a coefficient and the indices of its words
 
 
-@lru_cache(maxsize=64)  # one key per multiplicity pattern: 62 for 2 <= n <= 6
-def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]]:
+@lru_cache(maxsize=64)  # one key per multiplicity pattern: 62 for 2 <= n <= 6, and (1,) * N at N = 1, 7 for trace_formula
+def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], tuple[IdTerm, ...], Callable[[np.ndarray], complex]]:
     """The expansion of slots holding class ids 0, ..., r-1 with these
     multiplicities as (its distinct words in order of first appearance, its
-    terms as (coefficient, indices of their words)).
+    terms as (coefficient, indices of their words), and the expansion's
+    ``TraceExpansion._plan`` over the stack of the r classes' matrices).
 
     Each permutation's cycles are spelled in the slots' ids, canonicalized,
     and its monomial gains sgn(sigma); each monomial's signed count becomes
@@ -152,9 +154,10 @@ def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], t
         counts[words] = counts.get(words, 0) + sign
     fact = math.factorial(n)
     coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
-    terms = _merged(n, {words: coefficients[count] for words, count in counts.items()}).terms
-    index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([t.words for t in terms])))}
-    return tuple(index), tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in terms])
+    expansion = _merged(n, {words: coefficients[count] for words, count in counts.items()})
+    index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([t.words for t in expansion.terms])))}
+    terms = tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in expansion.terms])
+    return tuple(index), terms, expansion._plan[1]
 
 
 def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
@@ -165,10 +168,9 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     Tr(A_{i_1} ... A_{i_L}).  The sum is taken once per multiplicity
     pattern (``_class_table``), over the distinct labels numbered in
     sorted order; each call spells that table in its labels, which keeps
-    its canonical rotations and word and term order.  With n distinct labels
-    the n! terms are the cycle covers, one to one, and the expansion
-    carries their cached plan (``matrices.cycle_cover_plan``) with the
-    labels in slot order, so ``evaluate`` compiles nothing.
+    its canonical rotations and word and term order.  The expansion carries
+    the table's plan over the distinct labels in sorted order, so
+    ``evaluate`` compiles nothing.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -178,24 +180,23 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if "" in labels:
         raise ValueError(f"label {labels.index('') + 1} of {n} is empty")
     names = sorted(set(labels))
-    words, terms = _class_table(tuple(map(labels.count, names)))
+    words, terms, plan = _class_table(tuple(map(labels.count, names)))
     spelled = [tuple([names[i] for i in word]) for word in words]
     expansion = TraceExpansion(n, tuple([TraceMonomial(coef, tuple([spelled[j] for j in js])) for coef, js in terms]))
-    if len(names) == n:  # its terms are the cycle covers, one to one
-        expansion.__dict__["_plan"] = labels, cycle_cover_plan(n), math.factorial(n)
+    expansion.__dict__["_plan"] = tuple(names), plan
     return expansion
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
     """Numeric value of an expansion under a label -> matrix binding.
 
-    An expansion of distinct labels from ``expand_polydet`` evaluates on
-    the cached cycle-cover plan of its n, divided by n!; any other compiles
-    its terms into a trace-sum plan on its first evaluation and keeps it.
-    Labels the expansion does not use are ignored; a missing one raises
-    KeyError naming the first unbound label in term order.
+    An expansion from ``expand_polydet`` evaluates on its class table's
+    cached plan; any other, such as a parsed one, compiles its terms into a
+    trace-sum plan on its first evaluation and keeps it.  Labels the
+    expansion does not use are ignored; a missing one raises KeyError
+    naming the first unbound label in term order.
     """
-    labels, plan, divisor = expansion._plan
+    labels, plan = expansion._plan
     if not all(label in binding for label in labels):
         used = chain.from_iterable(chain.from_iterable([t.words for t in expansion.terms]))
         raise KeyError(f"unbound label {next(label for label in used if label not in binding)!r}")
@@ -205,7 +206,7 @@ def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> co
         if m.shape[0] != expansion.n:
             raise ValueError(f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}")
         mats.append(m)
-    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n)) / divisor
+    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n))
 
 
 def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:

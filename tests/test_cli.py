@@ -115,6 +115,14 @@ def test_compute_rejects_a_bad_declared_n(capsys, tmp_path, payload, message):
     assert err == f"polydet: error: {message}\n"
 
 
+@pytest.mark.parametrize("field", ("re", "im"))
+def test_compute_names_a_ragged_field(capsys, tmp_path, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1, 2], [3, 4]], field: [[1, 2], [3]]}))
+    assert cli.main(["compute", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == f'polydet: error: "{field}" is ragged: its nested lists do not form an array\n'
+
+
 def test_expand_text(capsys):
     code, out = run_cli(capsys, "expand", "--n", "2")
     assert code == 0
@@ -364,8 +372,17 @@ def test_anomaly_malformed_input_exits_2(capsys, tmp_path):
             {"n": 3, "multiplets": [{"S": [1.0] * 9, "P": [2.0] * 9}, {}]},
             "multiplet 0 has unknown key 'S'; expected \"s\" or \"p\"",
         ),
+        ({"n": 2, "multiplets": [{"s": [[1, 2], [3]]}]}, 'multiplet 0 "s" is ragged: its nested lists do not form an array'),
+        ({"n": 2, "multiplets": [{}, {"p": [[1, 2], 3]}]}, 'multiplet 1 "p" is ragged: its nested lists do not form an array'),
     ],
-    ids=("fractional-n", "n-beyond-the-generators", "non-object-multiplet", "misspelt-component-key"),
+    ids=(
+        "fractional-n",
+        "n-beyond-the-generators",
+        "non-object-multiplet",
+        "misspelt-component-key",
+        "ragged-s",
+        "ragged-p",
+    ),
 )
 def test_anomaly_rejects_a_bad_field_configuration(capsys, tmp_path, fields, message):
     path = tmp_path / "fields.json"

@@ -731,6 +731,15 @@ def test_polydet_many_errors_match_polydet():
     ragged = [identity(2), identity(3)]
     assert raised(polydet_many, [[identity(2)] * 2, ragged]) == raised(polydet, ragged)
     assert "mixes matrix shapes [(2, 2), (3, 3)]" in raised(polydet, ragged)[1]
+    # a matrix whose rows differ in length is named, in a tuple, a batch or the summands
+    lopsided = [[[1, 2], [3]], identity(2)]
+    assert raised(polydet_many, [[identity(2)] * 2, lopsided]) == raised(polydet, lopsided)
+    assert raised(polydet, lopsided) == (ValueError, "matrix tuple[0] is ragged: its nested lists do not form an array")
+    assert raised(det_of_sum, lopsided) == (ValueError, "summands[0] is ragged: its nested lists do not form an array")
+    # a number is no batch: its shape () is named, as polydet and det_of_sum name it
+    for fn in (polydet_many, polydet, det_of_sum):
+        kind, message = raised(fn, 5)
+        assert kind is ValueError and message.endswith("got shape ()")
 
 
 def test_polydet_many_empty_batch():

@@ -162,6 +162,8 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
+    with pytest.raises(ValueError, match=r"^binding\[A\] is ragged: its nested lists do not form an array$"):
+        as_matrix([[1, 2], [3]], name="binding[A]")
 
 
 def test_validate_matrix_tuple():
@@ -239,6 +241,10 @@ def test_matrix_json_rejects_bad_payload():
         matrix_from_json({"n": "2", "re": [[1, 2], [3, 4]]})
     with pytest.raises(ValueError, match=r"must be 2x2 arrays, got \(2, 2\) and \(1, 2\)"):
         matrix_from_json({"n": 2, "re": [[1, 2], [3, 4]], "im": [[1, 2]]})
+    for field in ("re", "im"):
+        payload = {"n": 2, "re": [[1, 2], [3, 4]], field: [[1, 2], [3]]}
+        with pytest.raises(ValueError, match=f'^"{field}" is ragged: its nested lists do not form an array$'):
+            matrix_from_json(payload)
 
 
 def test_load_matrix_file(tmp_path):

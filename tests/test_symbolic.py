@@ -18,7 +18,7 @@ from polydet.combinatorics import (
     enumerate_partition_vectors,
 )
 import polydet.symbolic as symbolic_module
-from polydet.engines import polydet_subset_sum
+from polydet.engines import polydet_subset_sum, polydet_trace_formula
 from polydet.matrices import det, random_matrix
 from polydet.symbolic import (
     TraceExpansion,
@@ -294,7 +294,7 @@ def test_evaluate_names_the_first_unbound_label_in_term_order():
         evaluate(e, {"Y": np.eye(3)})
     with pytest.raises(KeyError, match="'A'"):
         evaluate(e, {"Y": np.eye(3), "Z": np.eye(3)})
-    # distinct labels evaluate with their slots in order C, A, B, but the first term is Tr(A) Tr(B) Tr(C)
+    # slots given in order C, A, B: the first term is Tr(A) Tr(B) Tr(C)
     e = expand_polydet(3, ["C", "A", "B"])
     assert e.terms[0].words == (("A",), ("B",), ("C",))
     with pytest.raises(KeyError, match="'A'"):
@@ -317,12 +317,18 @@ def refuse(*args, **kwargs):
     raise AssertionError("compiled a plan")
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_distinct_labels_evaluate_on_the_cycle_cover_plan(monkeypatch, n):
-    # the n! terms are the cycle covers: evaluate compiles nothing and agrees with
-    # the plan compiled from the same terms after a json round trip
-    labels = [f"M{k}" for k in range(n)]
-    binding = {label: random_matrix(n, 4400 + 10 * n + k) for k, label in enumerate(labels)}
+@pytest.mark.parametrize(
+    "labels",
+    [pytest.param([f"M{k}" for k in range(n)], id=str(n)) for n in range(2, 7)]
+    + [pytest.param(list(word), id=word) for word in ("AAABBC", "BACCAB", "ABABAB")],
+)
+def test_fresh_expansions_evaluate_on_their_class_plan(monkeypatch, labels):
+    # a fresh expansion carries its class table's plan: evaluate compiles nothing and agrees
+    # with the plan compiled from the same terms after a json round trip, and with polydet;
+    # the trace-formula engine evaluates the all-distinct class's plan itself
+    n, names = len(labels), sorted(set(labels))
+    binding = {label: random_matrix(n, 4400 + 10 * n + k) for k, label in enumerate(names)}
+    mats = [binding[label] for label in labels]
     e = expand_polydet(n, labels)
     parsed = parse_expansion(render(e, "json"))
     with monkeypatch.context() as patched:
@@ -330,8 +336,12 @@ def test_distinct_labels_evaluate_on_the_cycle_cover_plan(monkeypatch, n):
         value = evaluate(e, binding)
         with pytest.raises(AssertionError):
             evaluate(parsed, binding)
+        if len(names) == n:
+            assert polydet_trace_formula(mats).value == value
     compiled = evaluate(parsed, binding)
     assert abs(value - compiled) <= 1e-12 * abs(compiled)
+    reference = polydet_subset_sum(mats).value
+    assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 def test_evaluated_expansion_still_round_trips():
