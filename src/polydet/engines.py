@@ -348,7 +348,7 @@ _TABLE: dict[str, tuple[Callable[[np.ndarray], np.ndarray], int]] = {
     "naive": (_rows(_naive_value), 6),
     "permutation_pair": (_rows(lambda stack: _row_mixed_sum(stack, det_leibniz, _LEIBNIZ_CHUNK)), 7),
     "subset_sum": (_default_values, SUBSET_MAX_N),
-    "trace_formula": (_rows(lambda stack: _class_table((1,) * len(stack))[2](stack)), 7),
+    "trace_formula": (_rows(lambda stack: _class_table((1,) * len(stack)).plan(stack)), 7),
     "volume": (_rows(lambda stack: _row_mixed_sum(stack, np.linalg.det, _LU_CHUNK)), 8),
 }
 

@@ -8,16 +8,15 @@ binding in stacked products on the expansion's plan.
 
 :func:`expand_polydet` depends on its labels only through which slots share
 one.  It numbers the distinct labels 0, ..., r-1 in sorted order and looks
-up the class table of their multiplicities: the expansion over those ids,
-built once per pattern by the cycle-cover loop (at most 62 patterns for
-n <= 6).  Spelling the ids in the labels is injective and keeps order, so
-the table's canonical rotations and word and term order are the labels'
-own, and a call only spells each distinct word once.  Every plan is
-compiled by ``TraceExpansion._plan``, over the labels in sorted order.  The
-class table keeps the plan of its expansion over the ids: each expansion of
-its pattern carries it, and the trace-formula engine evaluates the
-all-distinct pattern's.  Any other expansion, such as a parsed one,
-compiles its own plan on its first evaluation and keeps it.
+up the class table of their multiplicities: the expansion's id form (its
+distinct words spelled in label ids, and each term's coefficient and word
+indices), built once per pattern by the cycle-cover loop (at most 62
+patterns for n <= 6).  Spelling the ids in the labels is injective and
+keeps order, so a call only spells each distinct word once.  An expansion
+from ``expand_polydet``, or parsed from its json render, carries its class
+table's form and the plan compiled with it; any other builds its form on
+first use.  :func:`render` and :func:`evaluate` read the form, and the
+trace-formula engine evaluates the all-distinct pattern's plan.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -69,27 +69,19 @@ class TraceExpansion:
     terms: tuple[TraceMonomial, ...]
 
     @cached_property
-    def _plan(self) -> tuple[tuple[str, ...], Callable[[np.ndarray], complex]]:
-        """(labels, plan): the plan of the terms over the stack of the labels'
-        matrices, the labels in sorted order, whose value is the expansion's.
-        Every plan is compiled here; ``expand_polydet`` sets its class table's."""
-        spelled: dict[Word, tuple[int, ...]] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
-        slots = {label: i for i, label in enumerate(sorted(set(chain.from_iterable(spelled))))}
-        for w in spelled:
-            spelled[w] = tuple(map(slots.__getitem__, w))
-        weights: dict[tuple[int, int], float] = {}  # (numerator, denominator) -> its float
-        terms = []
-        for coef, words in self.terms:
-            key = coef.numerator, coef.denominator
-            weight = weights.get(key)
-            if weight is None:
-                weight = weights[key] = float(coef)
-            terms.append((weight, [spelled[w] for w in words]))
-        return tuple(slots), trace_sum_plan(terms)
+    def _form(self) -> tuple[tuple[str, ...], _Form]:
+        """(labels, form): the labels in sorted order, and the terms spelled
+        in their ids.  ``expand_polydet`` sets its class table's."""
+        words: dict[Word, IdWord] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
+        labels = tuple(sorted(set(chain.from_iterable(words))))
+        slots = {label: i for i, label in enumerate(labels)}
+        for w in words:
+            words[w] = tuple(map(slots.__getitem__, w))
+        return labels, _Form([(coef, [words[w] for w in listed]) for coef, listed in self.terms])
 
     def __getstate__(self) -> dict:
-        """Pickle the fields alone: the plan is a cache, rebuilt on demand."""
-        return {name: value for name, value in self.__dict__.items() if name != "_plan"}
+        """Pickle the fields alone: the form is a cache, rebuilt on demand."""
+        return {name: value for name, value in self.__dict__.items() if name != "_form"}
 
 
 def _term_key(words: tuple[Word, ...]) -> tuple:
@@ -119,27 +111,69 @@ def _sorted_words(keys: Iterable, memo: dict, canon: Callable[[object], Word]) -
     return tuple([word for _, word in pairs])
 
 
-def _merged(n: int, acc: Mapping[tuple[Word, ...], Fraction]) -> TraceExpansion:
-    """The non-zero terms of a words -> coefficient map, in term order."""
-    kept = sorted((words for words, coef in acc.items() if coef), key=_term_key)
-    return TraceExpansion(n, tuple([TraceMonomial(acc[words], words) for words in kept]))
-
-
 IdWord = tuple[int, ...]
 IdTerm = tuple[Fraction, tuple[int, ...]]  # a coefficient and the indices of its words
 
 
+def _picker(indices: tuple[int, ...]) -> Callable[[Sequence], Sequence]:
+    """The function that takes the items at these indices from a sequence,
+    as a sequence: an itemgetter of one index returns the item itself, so
+    one is taken as a slice."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+class _Form:
+    """An expansion spelled in label ids: its distinct words, in order of
+    first appearance, and its terms as (coefficient, indices of their
+    words), with the pickers of each word's letters and each term's words.
+    Its plan and its terms' heads in each render format are made on first
+    use and kept."""
+
+    def __init__(self, terms: Iterable[tuple[Fraction, Sequence[IdWord]]]):
+        terms = list(terms)
+        index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([words for _, words in terms])))}
+        self.words = tuple(index)
+        self.terms: tuple[IdTerm, ...] = tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in terms])
+        self.spellers = tuple(map(_picker, self.words))  # per word: takes its letters from the labels
+        self.pickers = tuple([_picker(js) for _, js in self.terms])  # per term: takes its words by index
+        self._heads: dict[Callable[[Fraction], str], list[str]] = {}
+
+    def _by_coefficient(self, spell: Callable[[Fraction], object]) -> list:
+        """spell of each term's coefficient, called once per distinct coefficient."""
+        spelled: dict[tuple[int, int], object] = {}  # (numerator, denominator) -> its spelling
+        out = []
+        for coef, _ in self.terms:
+            key = coef.numerator, coef.denominator
+            if key not in spelled:
+                spelled[key] = spell(coef)
+            out.append(spelled[key])
+        return out
+
+    @cached_property
+    def plan(self) -> Callable[[np.ndarray], complex]:
+        """The terms' plan over the stack of the labels' matrices in id
+        order: every plan is compiled here."""
+        return trace_sum_plan(zip(self._by_coefficient(float), [pick(self.words) for pick in self.pickers]))
+
+    def heads(self, spell: Callable[[Fraction], str]) -> list[str]:
+        """Per term, its coefficient spelled by a render format's speller."""
+        if spell not in self._heads:
+            self._heads[spell] = self._by_coefficient(spell)
+        return self._heads[spell]
+
+
 @lru_cache(maxsize=64)  # one key per multiplicity pattern: 62 for 2 <= n <= 6, and (1,) * N at N = 1, 7 for trace_formula
-def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], tuple[IdTerm, ...], Callable[[np.ndarray], complex]]:
-    """The expansion of slots holding class ids 0, ..., r-1 with these
-    multiplicities as (its distinct words in order of first appearance, its
-    terms as (coefficient, indices of their words), and the expansion's
-    ``TraceExpansion._plan`` over the stack of the r classes' matrices).
+def _class_table(multiplicities: tuple[int, ...]) -> _Form:
+    """The form of the expansion of slots holding class ids 0, ..., r-1
+    with these multiplicities, its plan compiled.
 
     Each permutation's cycles are spelled in the slots' ids, canonicalized,
     and its monomial gains sgn(sigma); each monomial's signed count becomes
-    one coefficient count / n!.  Relabeling the slots permutes the cycle
-    covers among themselves, so the slots are taken in order of their ids.
+    one coefficient count / n!, and the non-zero ones are kept in term
+    order.  Relabeling the slots permutes the cycle covers among
+    themselves, so the slots are taken in order of their ids.
     """
     n = sum(multiplicities)
     ids = [c for c, m in enumerate(multiplicities) for _ in range(m)]
@@ -154,10 +188,10 @@ def _class_table(multiplicities: tuple[int, ...]) -> tuple[tuple[IdWord, ...], t
         counts[words] = counts.get(words, 0) + sign
     fact = math.factorial(n)
     coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
-    expansion = _merged(n, {words: coefficients[count] for words, count in counts.items()})
-    index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([t.words for t in expansion.terms])))}
-    terms = tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in expansion.terms])
-    return tuple(index), terms, expansion._plan[1]
+    kept = sorted((words for words, count in counts.items() if count), key=_term_key)
+    form = _Form([(coefficients[counts[words]], words) for words in kept])
+    form.plan  # compiled with the table, so no expansion of the class compiles one
+    return form
 
 
 def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
@@ -167,10 +201,11 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
     Tr(A_{i_1} ... A_{i_L}).  The sum is taken once per multiplicity
     pattern (``_class_table``), over the distinct labels numbered in
-    sorted order; each call spells that table in its labels, which keeps
-    its canonical rotations and word and term order.  The expansion carries
-    the table's plan over the distinct labels in sorted order, so
-    ``evaluate`` compiles nothing.
+    sorted order; each call spells that table's words in its labels and
+    picks each term's words from them, which keeps its canonical
+    rotations and word and term order.  The expansion carries the table's
+    form, so ``evaluate`` compiles nothing and ``render`` spells nothing
+    per term.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -179,24 +214,26 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
     if "" in labels:
         raise ValueError(f"label {labels.index('') + 1} of {n} is empty")
-    names = sorted(set(labels))
-    words, terms, plan = _class_table(tuple(map(labels.count, names)))
-    spelled = [tuple([names[i] for i in word]) for word in words]
-    expansion = TraceExpansion(n, tuple([TraceMonomial(coef, tuple([spelled[j] for j in js])) for coef, js in terms]))
-    expansion.__dict__["_plan"] = tuple(names), plan
+    names = tuple(sorted(set(labels)))
+    form = _class_table(tuple(map(labels.count, names)))
+    spelled = tuple([speller(names) for speller in form.spellers])
+    new = tuple.__new__  # a TraceMonomial without its Python-level __new__
+    terms = [new(TraceMonomial, (coef, pick(spelled))) for (coef, _), pick in zip(form.terms, form.pickers)]
+    expansion = TraceExpansion(n, tuple(terms))
+    expansion.__dict__["_form"] = names, form
     return expansion
 
 
 def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> complex:
     """Numeric value of an expansion under a label -> matrix binding.
 
-    An expansion from ``expand_polydet`` evaluates on its class table's
-    cached plan; any other, such as a parsed one, compiles its terms into a
-    trace-sum plan on its first evaluation and keeps it.  Labels the
-    expansion does not use are ignored; a missing one raises KeyError
-    naming the first unbound label in term order.
+    An expansion from ``expand_polydet``, or parsed from its json render,
+    evaluates on its class table's cached plan; any other compiles its
+    terms into a trace-sum plan on its first evaluation and keeps it.
+    Labels the expansion does not use are ignored; a missing one raises
+    KeyError naming the first unbound label in term order.
     """
-    labels, plan = expansion._plan
+    labels, form = expansion._form
     if not all(label in binding for label in labels):
         used = chain.from_iterable(chain.from_iterable([t.words for t in expansion.terms]))
         raise KeyError(f"unbound label {next(label for label in used if label not in binding)!r}")
@@ -206,7 +243,7 @@ def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> co
         if m.shape[0] != expansion.n:
             raise ValueError(f"binding[{label}] has dimension {m.shape[0]}, expected {expansion.n}")
         mats.append(m)
-    return plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n))
+    return form.plan(np.array(mats, dtype=np.complex128).reshape(-1, expansion.n, expansion.n))
 
 
 def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
@@ -222,95 +259,62 @@ def expand_det_of_sum(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     return [(comp, multinomial(n, comp)) for comp in compositions(n, r)]
 
 
-#: per signed-sum format: the opening of a trace, the joiner of a word's
-#: letters, the joiner of a term's traces, and the spelling of a
-#: coefficient magnitude other than 1
-_SPELLERS = {
-    "text": ("Tr(", "*", "*", lambda mag: str(mag) + "*"),
-    "latex": ("\\mathrm{Tr}(", "", "", lambda mag: f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"),
+def _signed(spell_magnitude: Callable[[Fraction], str]) -> Callable[[Fraction], str]:
+    """A coefficient spelled as a term of a signed sum: " + " or " - ", then
+    its magnitude unless that is 1."""
+    return lambda coef: (" + " if coef > 0 else " - ") + (spell_magnitude(abs(coef)) if abs(coef) != 1 else "")
+
+
+#: per format: the spelling of a label; a trace's opening, the joiner of its
+#: letters and its closing; the joiner of a term's traces; the spelling of a
+#: coefficient, which heads its term; and the separator of terms
+_FORMATS = {
+    "text": (str, "Tr(", "*", ")", "*", _signed(lambda mag: str(mag) + "*"), ""),
+    "latex": (str, "\\mathrm{Tr}(", "", ")", "", _signed(lambda mag: f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"), ""),
+    "json": (json.dumps, "[", ", ", "]", ", ",
+             lambda coef: '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": [', "]}, "),
 }
 
 
-def _spelled_terms(
-    expansion: TraceExpansion,
-    spell_coefficient: Callable[[Fraction], str],
-    spell_word: Callable[[Word], str],
-    joiner: str,
-) -> list[str]:
-    """Each term as its coefficient's spelling followed by its words'
-    spellings, joined; each distinct coefficient and word is spelled once."""
-    heads: dict[tuple[int, int], str] = {}  # (numerator, denominator) -> its spelling
-    spelled: dict[Word, str] = {}
-    parts = []
-    for coef, words in expansion.terms:
-        key = coef.numerator, coef.denominator
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = spell_coefficient(coef)
-        texts = []
-        for word in words:
-            text = spelled.get(word)
-            if text is None:
-                text = spelled[word] = spell_word(word)
-            texts.append(text)
-        parts.append(head + joiner.join(texts))
-    return parts
-
-
-def _render_signed(expansion: TraceExpansion, format: str) -> str:
-    """The terms as one signed sum: "-" before a negative first term, " + "
-    or " - " before each later one, and "0" for no terms."""
-    opening, letters, joiner, spell_magnitude = _SPELLERS[format]
-
-    def spell_coefficient(coef: Fraction) -> str:
-        mag = abs(coef)
-        return (" + " if coef > 0 else " - ") + (spell_magnitude(mag) if mag != 1 else "")
-
-    signed = "".join(_spelled_terms(expansion, spell_coefficient, lambda w: opening + letters.join(w) + ")", joiner))
-    if not signed:
-        return "0"
-    return signed[3:] if signed.startswith(" + ") else "-" + signed[3:]
-
-
-def _render_json(expansion: TraceExpansion) -> str:
-    """The text of json.dumps(payload, sort_keys=True) for the payload
-    {"n": n, "terms": [{"coef": [num, den], "words": [[label, ...], ...]}, ...]}
-    with its default separators, put together from json.dumps of each
-    distinct label and each distinct coefficient's [num, den] strings."""
-    labels: dict[object, str] = {}
-
-    def spell_coefficient(coef: Fraction) -> str:
-        return '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": ['
-
-    def spell_word(word: Word) -> str:
-        for label in word:
-            if label not in labels:
-                labels[label] = json.dumps(label)
-        return "[" + ", ".join(map(labels.__getitem__, word)) + "]"
-
-    terms = ", ".join([part + "]}" for part in _spelled_terms(expansion, spell_coefficient, spell_word, ", ")])
-    return '{"n": ' + json.dumps(expansion.n) + ', "terms": [' + terms + "]}"
-
-
 def render(expansion: TraceExpansion, format: str = "text") -> str:
-    """Deterministic serialization; the json form round-trips losslessly."""
-    if format in _SPELLERS:
-        return _render_signed(expansion, format)
+    """Deterministic serialization; the json form round-trips losslessly.
+
+    "text" and "latex" write a signed sum ("0" for no terms); "json" the
+    text of json.dumps(payload, sort_keys=True), the payload {"n": n,
+    "terms": [{"coef": [num, den], "words": [[label, ...], ...]}, ...]}.
+    A call spells the form's distinct words once and joins each term's
+    head, its coefficient spelled once per form, with its words.
+    """
+    if format not in _FORMATS:
+        raise ValueError(f"unknown render format {format!r}")
+    spell, opening, letters, closing, joiner, spell_coefficient, separator = _FORMATS[format]
+    labels, form = expansion._form
+    names = list(map(spell, labels))
+    words = [opening + letters.join(speller(names)) + closing for speller in form.spellers]
+    body = separator.join([head + joiner.join(pick(words)) for head, pick in zip(form.heads(spell_coefficient), form.pickers)])
     if format == "json":
-        return _render_json(expansion)
-    raise ValueError(f"unknown render format {format!r}")
+        return '{"n": ' + json.dumps(expansion.n) + ', "terms": [' + body + ("]}" if form.terms else "") + "]}"
+    if not form.terms:
+        return "0"
+    return body[3:] if body.startswith(" + ") else "-" + body[3:]
 
 
 def parse_expansion(text) -> TraceExpansion:
     """Inverse of render(..., 'json'); normalizes words and term order.
 
-    ``n`` must be a positive integer.  Each term must be an object with
-    "coef" and "words" fields.  Each coefficient must be a
+    ``n`` must be a positive integer and "terms" a list.  Each term must be
+    an object with "coef" and "words" fields.  Each coefficient must be a
     [numerator, denominator] list of integers or their strings, the
     denominator non-zero; each word a non-empty list of non-empty string
     labels; and each term's words must have n letters in all.  A term that
     breaks any of these raises ValueError naming it.  Each distinct
     coefficient spelling and word is checked once, when first seen.
+
+    A text that is, up to JSON whitespace at either end, the json render
+    of ``expand_polydet(n, labels)``, the labels read off its first term's
+    n one-letter words, is that expansion, with its class table's form
+    and plan: such a text is valid by construction.  Any other input is
+    read term by term.
     """
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
@@ -318,6 +322,15 @@ def parse_expansion(text) -> TraceExpansion:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
+    terms = obj["terms"]
+    if type(terms) is not list:
+        raise ValueError(f'"terms" must be a list, got {terms!r}')
+    first = terms[0].get("words") if terms and type(terms[0]) is dict else None
+    if isinstance(text, str) and 2 <= n <= EXPAND_MAX_N and type(first) is list and len(first) == n:
+        if all(type(w) is list and len(w) == 1 and type(w[0]) is str and w[0] for w in first):
+            expansion = expand_polydet(n, [w[0] for w in first])
+            if text.strip(" \t\n\r") == render(expansion, "json"):
+                return expansion
 
     # both readers name the term k that the loop below is reading
     def read_coefficient(spelling) -> Fraction:
@@ -340,7 +353,7 @@ def parse_expansion(text) -> TraceExpansion:
     spelled: dict[Word, tuple[int, Word]] = {}
     coefficients: dict[tuple, Fraction] = {}  # the (num, den) spelling -> its value
     acc: dict[tuple[Word, ...], Fraction] = {}
-    for k, entry in enumerate(obj["terms"]):
+    for k, entry in enumerate(terms):
         try:
             spelling, listed = entry["coef"], entry["words"]
             coef = coefficients.get(tuple(spelling)) if type(spelling) is list else None
@@ -356,4 +369,5 @@ def parse_expansion(text) -> TraceExpansion:
         if letters != n:
             raise ValueError(f"term {k}: word lengths sum to {letters}, not n = {n}")
         acc[words] = acc[words] + coef if words in acc else coef
-    return _merged(n, acc)
+    kept = sorted((words for words, coef in acc.items() if coef), key=_term_key)
+    return TraceExpansion(n, tuple([TraceMonomial(acc[words], words) for words in kept]))

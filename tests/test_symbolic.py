@@ -323,23 +323,25 @@ def refuse(*args, **kwargs):
     + [pytest.param(list(word), id=word) for word in ("AAABBC", "BACCAB", "ABABAB")],
 )
 def test_fresh_expansions_evaluate_on_their_class_plan(monkeypatch, labels):
-    # a fresh expansion carries its class table's plan: evaluate compiles nothing and agrees
-    # with the plan compiled from the same terms after a json round trip, and with polydet;
-    # the trace-formula engine evaluates the all-distinct class's plan itself
+    # a fresh expansion, and one parsed from its json render, carry their class table's plan:
+    # evaluate compiles nothing and agrees bit for bit with the plan compiled from the same
+    # terms, and with polydet; the trace-formula engine evaluates the all-distinct class's plan
     n, names = len(labels), sorted(set(labels))
     binding = {label: random_matrix(n, 4400 + 10 * n + k) for k, label in enumerate(names)}
     mats = [binding[label] for label in labels]
     e = expand_polydet(n, labels)
-    parsed = parse_expansion(render(e, "json"))
+    blob = render(e, "json")
+    parsed = [parse_expansion(blob), parse_expansion(blob + "\n")]  # the latter as `expand --out` writes it
+    copy = TraceExpansion(e.n, e.terms)
     with monkeypatch.context() as patched:
         patched.setattr(symbolic_module, "trace_sum_plan", refuse)
         value = evaluate(e, binding)
+        assert [evaluate(p, binding) for p in parsed] == [value, value]
         with pytest.raises(AssertionError):
-            evaluate(parsed, binding)
+            evaluate(copy, binding)
         if len(names) == n:
             assert polydet_trace_formula(mats).value == value
-    compiled = evaluate(parsed, binding)
-    assert abs(value - compiled) <= 1e-12 * abs(compiled)
+    assert evaluate(copy, binding) == value
     reference = polydet_subset_sum(mats).value
     assert abs(value - reference) <= 1e-12 * abs(reference)
 
@@ -349,14 +351,19 @@ def test_evaluated_expansion_still_round_trips():
     fresh = expand_polydet(4, ["A", "B", "C", "D"])
     binding = {label: random_matrix(4, 3950 + k) for k, label in enumerate("ABCD")}
     value = evaluate(e, binding)
-    assert parse_expansion(render(e, "json")) == e
+    rendered = {format: render(e, format) for format in ("text", "latex", "json")}
+    assert parse_expansion(rendered["json"]) == e
     assert e == fresh and hash(e) == hash(fresh)
-    assert render(e, "json") == render(fresh, "json")
+    assert rendered == {format: render(fresh, format) for format in rendered}
     assert pickle.dumps(e) == pickle.dumps(fresh)
+    copy = TraceExpansion(e.n, e.terms)
+    assert render(copy, "json") == rendered["json"]
+    assert pickle.dumps(copy) == pickle.dumps(TraceExpansion(e.n, e.terms))
     reloaded = pickle.loads(pickle.dumps(e))
     assert reloaded == e
-    # the reloaded expansion carries no plan and compiles its own
+    # the reloaded expansion carries no form and compiles its own plan
     assert abs(evaluate(reloaded, binding) - value) <= 1e-12 * abs(value)
+    assert render(reloaded, "latex") == rendered["latex"]
 
 
 def test_expand_guards():
@@ -429,6 +436,77 @@ def json_payload_reference(expansion):
 def test_render_json_is_json_dumps_of_the_payload(expansion):
     assert render(expansion, "json") == json_payload_reference(expansion)
     assert parse_expansion(render(expansion, "json")) == expansion
+
+
+def signed_sum_reference(expansion, format):
+    """render(..., "text" or "latex") by a loop over the terms and their words."""
+    opening, letters, joiner = ("Tr(", "*", "*") if format == "text" else ("\\mathrm{Tr}(", "", "")
+    parts = []
+    for coef, words in expansion.terms:
+        mag = abs(coef)
+        if mag == 1:
+            head = ""
+        elif format == "text":
+            head = f"{mag}*"
+        else:
+            head = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        traces = joiner.join(opening + letters.join(word) + ")" for word in words)
+        parts.append((" + " if coef > 0 else " - ") + head + traces)
+    signed = "".join(parts)
+    if not signed:
+        return "0"
+    return signed[3:] if signed.startswith(" + ") else "-" + signed[3:]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_render_matches_the_loop_references_on_every_multiplicity_pattern(n):
+    for k, pattern in enumerate(multiplicity_patterns(n)):
+        labels = slot_labels(pattern, ["\u00e9", '"q"', "a\\b", "Z", "x10", "x2"], 20 * n + k)
+        e = expand_polydet(n, labels)
+        for expansion in (e, TraceExpansion(e.n, e.terms)):
+            assert render(expansion, "json") == json_payload_reference(e)
+            for format in ("text", "latex"):
+                assert render(expansion, format) == signed_sum_reference(e, format)
+
+
+def parse_reference(payload):
+    """parse_expansion of a valid payload by a loop: each word's minimal rotation, each
+    term's words sorted by (length, word), equal terms summed, zeros dropped, term order."""
+    acc = {}
+    for term in payload["terms"]:
+        words = [tuple(w) for w in term["words"]]
+        words = [min(w[i:] + w[:i] for i in range(len(w))) for w in words]
+        key = tuple(sorted(words, key=lambda w: (len(w), w)))
+        acc[key] = acc.get(key, 0) + Fraction(*map(int, term["coef"]))
+    kept = sorted((key for key, coef in acc.items() if coef), key=lambda k: (-len(k), [len(w) for w in k], k))
+    return TraceExpansion(payload["n"], tuple(TraceMonomial(acc[key], key) for key in kept))
+
+
+@pytest.mark.parametrize("labels", ["ABCDEF", "AAABBC", "BACCAB", "ABC", "xyx"])
+def test_parse_expansion_reads_every_other_spelling_term_by_term(labels):
+    # other spellings of an expansion, and its json render with whitespace around it: each
+    # parses to what the term-by-term reader makes of it, and renders as that expansion does
+    e = expand_polydet(len(labels), labels)
+    blob = render(e, "json")
+    payload = json.loads(blob)
+    terms = payload["terms"]
+    rotated = [{"coef": t["coef"], "words": [w[1:] + w[:1] for w in t["words"]]} for t in terms]
+    inputs = {
+        "shuffled": {"n": e.n, "terms": [terms[k] for k in np.random.default_rng(len(terms)).permutation(len(terms))]},
+        "duplicates": {"n": e.n, "terms": terms + terms[1::3]},
+        "rotations": {"n": e.n, "terms": rotated},
+        "partial": {"n": e.n, "terms": terms[: len(terms) // 2]},
+        "reversed-words": {"n": e.n, "terms": [{"coef": t["coef"], "words": t["words"][::-1]} for t in terms]},
+    }
+    texts = list(map(json.dumps, inputs.values()))
+    texts += [payload, blob.encode(), json.dumps(payload, indent=1), blob + "\n", " \t" + blob + "\r\n"]
+    for text in texts:
+        parsed = parse_expansion(text)
+        reference = parse_reference(text if isinstance(text, dict) else json.loads(text))
+        assert parsed == reference
+        for format in ("text", "latex", "json"):
+            assert render(parsed, format) == render(reference, format)
+    assert parse_expansion(inputs["shuffled"]) == e
 
 
 def test_render_json_roundtrip_byte_identical():
@@ -562,6 +640,9 @@ def terms_of_n2(*terms):
         (terms_of_n2({"coef": ["1", "1"]}), "term 0: a term must read " + TERM_SHAPE + ", got {'coef': ['1', '1']}"),
         (terms_of_n2("AB"), "term 0: a term must read " + TERM_SHAPE + ", got 'AB'"),
         ({"n": 2}, 'expansion JSON must be an object with "n" and "terms" fields'),
+        # a number would leak a TypeError, and an object would be read as its keys
+        ({"n": 2, "terms": 5}, '"terms" must be a list, got 5'),
+        ({"n": 2, "terms": {"a": 1}}, '"terms" must be a list, got {\'a\': 1}'),
         ([2, []], 'expansion JSON must be an object with "n" and "terms" fields'),
         # integer labels would parse, then fail to render as text
         (terms_of_n2({"coef": ["1", "1"], "words": [[1], [2]]}),
@@ -577,7 +658,7 @@ def terms_of_n2(*terms):
         "float-n", "boolean-n", "zero-n", "negative-n",
         "zero-denominator", "three-part-coefficient", "fraction-string-coefficient",
         "string-coefficient", "unhashable-coefficient-part", "unhashable-label", "word-not-a-list",
-        "missing-words", "term-not-an-object", "missing-terms", "not-an-object",
+        "missing-words", "term-not-an-object", "missing-terms", "number-terms", "object-terms", "not-an-object",
         "integer-labels", "empty-label", "empty-word",
     ),
 )
