@@ -52,10 +52,9 @@ engine at N >= 4 both plan each tuple alone (``_row_plan``), finding its
 repeated arguments by exact equality of their bytes, and run one grid kernel
 per multiplicity pattern; every other tuple, all-distinct or not, and every
 tuple at N <= 3 take the all-ones pattern over their own argument
-positions.  ``det_of_sum`` validates its summands once, is guarded
-by the compositions it would list, their entries and the determinants it
-would take, and takes its compositions from a table cached per (N, r), each
-on its own grid.
+positions.  ``det_of_sum`` validates its summands once, is guarded by
+the predicted cost of its first call at (N, r), and takes its compositions
+from a table cached per (N, r), each on its own grid.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +72,6 @@ from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
     compositions,
-    enumerate_partition_vectors,
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
 )
@@ -104,12 +102,13 @@ _LEIBNIZ_CHUNK = 32
 _LU_CHUNK = 256
 # subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
-# det_of_sum: most compositions C(N + r - 1, r - 1) in one call, each listed in Python
-# and run row by row by the non-default engines; most entries C r of their listing
-# (N = 2, r = 140 lists 1381800 in about 0.3 s); and most determinants (``_det_of_sum_work``)
-_DET_OF_SUM_MAX_COMPOSITIONS = 10_000
-_DET_OF_SUM_MAX_ENTRIES = 1_500_000
-_DET_OF_SUM_MAX_DETS = 500_000
+# det_of_sum: the predicted cost of a first call (``_det_of_sum_work``), in steps of about
+# 1.4 ns: 100 for each of the C r entries of the composition listing, N^3 + 700 for each
+# N x N determinant; the budget is about 1 s.  Fitted to cold calls at N = 1..24 (one BLAS
+# thread, 2-CPU VM): each from 0.05 s up was predicted within 1.7x of its time
+_DET_OF_SUM_ENTRY_WORK = 100
+_DET_OF_SUM_DET_OFFSET = 700
+_DET_OF_SUM_BUDGET = 7e8
 
 
 @dataclass(frozen=True)
@@ -416,93 +415,92 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
     return _kernel(name, n)(batch)
 
 
+def _ascending_partitions(n: int, parts: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every partition of n into at most ``parts`` parts of at least ``smallest``, ascending."""
+    if n == 0:
+        yield ()
+    elif parts:
+        for m in range(smallest, n + 1):
+            for rest in _ascending_partitions(n - m, parts - 1, m):
+                yield (m, *rest)
+
+
 @lru_cache(maxsize=256)
 def _det_of_sum_work(n: int, r: int) -> int:
-    """The determinants ``det_of_sum`` takes for N = n and r summands, counted
-    per multiplicity pattern without listing a composition.
+    """The predicted cost of ``det_of_sum``'s first call at N = n and r summands, in steps.
 
-    The compositions of n into r parts whose k non-zero parts are the
-    partition with c_s parts of size s number r! / ((r - k)! prod_s c_s!);
-    each takes prod_{j >= 2} (m_j + 1) determinants when the roots grid of
-    its ascending parts m pays, else the 2^(N-1) of the sign grid.
+    Its C = C(n + r - 1, r - 1) compositions list C r entries; when those
+    alone exceed the budget, that is the cost.  Else the determinants are
+    counted per multiplicity pattern, walking the partitions m_1 <= ... <=
+    m_k of n into at most r parts: r! / ((r - k)! prod_s c_s!) compositions
+    (c_s parts of size s), each taking prod_{j >= 2} (m_j + 1) when the
+    roots grid of m pays, else the 2^(N-1) of the sign grid.
     """
-    work = 0
-    for counts in enumerate_partition_vectors(n):
-        if sum(counts) <= r:
-            pattern = tuple(size for size, count in enumerate(counts, 1) for _ in range(count))
-            grid = math.prod(m + 1 for m in pattern[1:]) if _roots_grid_pays(pattern) else 1 << (n - 1)
-            work += multinomial(r, (r - sum(counts), *counts)) * grid
-    return work
+    listing = math.comb(n + r - 1, r - 1) * r * _DET_OF_SUM_ENTRY_WORK
+    if listing > _DET_OF_SUM_BUDGET:
+        return listing
+    dets = 0
+    for pattern in _ascending_partitions(n, r):
+        grid = math.prod(m + 1 for m in pattern[1:]) if _roots_grid_pays(pattern) else 1 << (n - 1)
+        dets += multinomial(r, (r - len(pattern), *map(pattern.count, set(pattern)))) * grid
+    return listing + dets * (n**3 + _DET_OF_SUM_DET_OFFSET)
 
 
 @lru_cache(maxsize=16)
 def _composition_table(n: int, r: int):
     """The compositions of n into r parts, in ``compositions`` order, for ``det_of_sum``.
 
-    Returns (weights, rows, grids): the (C,) float multinomial of each
-    composition; its repeated tuple as summand indices, row by row as
-    ``np.repeat`` spells it; and, for each multiplicity pattern,
-    (pattern, positions, order).  A composition whose roots grid pays has
-    the pattern of its non-zero parts, and order[i] lists those summands by
-    part and then index, as ``polydet`` orders the distinct arguments of
-    the repeated tuple; any other has pattern (1, ..., 1), and order[i] is
-    its repeated tuple's row.
+    Returns (weights, grids): the (C,) float multinomial of each
+    composition and, for each multiplicity pattern, (pattern, positions,
+    order).  A composition whose roots grid pays has the pattern of its
+    non-zero parts, and order[i] lists those summands by part and then
+    index, as ``polydet`` orders the distinct arguments of the repeated
+    tuple; any other has pattern (1, ..., 1), and order[i] is its repeated
+    tuple, each summand index k_j times in index order.
     """
-    comps = np.array(list(compositions(n, r)), dtype=np.intp).reshape(-1, r)
-    weights = np.array([float(multinomial(n, comp)) for comp in comps.tolist()])
-    rows = np.repeat(np.tile(np.arange(r), len(comps)), comps.ravel()).reshape(-1, n)
+    comps = list(compositions(n, r))
+    weights = np.array([float(multinomial(n, comp)) for comp in comps])
+    weights.flags.writeable = False
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    for position, (comp, row) in enumerate(zip(comps.tolist(), rows.tolist())):
-        order = sorted((j for j in range(r) if comp[j]), key=comp.__getitem__)
+    for position, comp in enumerate(comps):
+        present = [j for j in range(r) if comp[j]]
+        order = sorted(present, key=comp.__getitem__)
         pattern = tuple(comp[j] for j in order)
         if not _roots_grid_pays(pattern):
-            pattern, order = (1,) * n, row
+            pattern, order = (1,) * n, [j for j in present for _ in range(comp[j])]
         positions, orders = groups.setdefault(pattern, ([], []))
         positions.append(position)
         orders.append(order)
-    grids = [(pattern, np.array(positions), np.array(orders)) for pattern, (positions, orders) in groups.items()]
-    for a in (weights, rows):
-        a.flags.writeable = False
-    return weights, rows, grids
+    return weights, [(pattern, np.array(positions), np.array(orders)) for pattern, (positions, orders) in groups.items()]
 
 
-def det_of_sum(mats: Sequence, engine: Optional[str] = None) -> complex:
+def det_of_sum(mats: Sequence) -> complex:
     """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
 
     Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over all
     compositions of N = matrix dimension into r non-negative parts, as a
     running sum in ``compositions`` order; each composition's value is the
-    engine's own value on its repeated tuple.  The r summands are validated
-    once and the compositions come from a table cached per (N, r).  With
-    the default engine, the compositions are taken pattern by pattern, each
-    on its own grid with its own extraction row (never read off one shared
-    transform of the summands, which would make the sum equal det(sum A_k)
-    by construction).  With any other engine the repeated tuples are row
-    selections of the summand stack and go to the engine's kernel in
-    batches of 2^8 / N tuples.  A call that would list more than 10^4
-    compositions or 1.5 10^6 composition entries (r per composition), or
-    take more than 5 10^5 determinants on the default kernel's grids
-    (``_det_of_sum_work``), raises ``GuardLimitError`` before any
-    composition is listed.
+    default engine's own value on its repeated tuple.  The r summands are
+    validated once and the compositions come from a table cached per
+    (N, r), taken pattern by pattern, each on its own grid with its own
+    extraction row (never read off one shared transform of the summands,
+    which would make the sum equal det(sum A_k) by construction).  A call
+    whose predicted first-call cost (``_det_of_sum_work``: the listing's
+    C r entries and the determinants, each weighted by its size) exceeds
+    ``_DET_OF_SUM_BUDGET``, about 1 s, raises ``GuardLimitError`` before
+    any composition is listed.
     """
     stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
-    kernel = _kernel(DEFAULT_ENGINE if engine is None else engine, n)
-    count, work = math.comb(n + r - 1, r - 1), _det_of_sum_work(n, r)
-    if count > _DET_OF_SUM_MAX_COMPOSITIONS or count * r > _DET_OF_SUM_MAX_ENTRIES or work > _DET_OF_SUM_MAX_DETS:
+    work = _det_of_sum_work(n, r)
+    if work > _DET_OF_SUM_BUDGET:
         raise GuardLimitError(
-            f"det_of_sum guarded at {_DET_OF_SUM_MAX_COMPOSITIONS} compositions, {_DET_OF_SUM_MAX_ENTRIES} "
-            f"composition entries and {_DET_OF_SUM_MAX_DETS} determinants, got {count}, {count * r} and {work} "
-            f"for n={n}, r={r}"
+            f"det_of_sum guarded at a predicted cost of {_DET_OF_SUM_BUDGET:.3g} steps (about 1 s), "
+            f"got {work:.3g} for n={n}, r={r}"
         )
-    weights, rows, grids = _composition_table(n, r)
+    weights, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)
-    if kernel is _default_values:
-        for pattern, where, order in grids:
-            values[where] = _grid_values(stack, order, pattern)
-    else:
-        per_batch = max(1, (1 << _SUBSET_LOW_BITS) // n)
-        for start in range(0, len(weights), per_batch):
-            values[start : start + per_batch] = kernel(stack[rows[start : start + per_batch]])
+    for pattern, where, order in grids:
+        values[where] = _grid_values(stack, order, pattern)
     # a running sum in composition order adds the terms as a loop of += would
     return complex(np.cumsum(weights * values)[-1])

@@ -442,21 +442,18 @@ def test_det_of_sum_rejects_bad_summands(summands):
         det_of_sum(summands)
 
 
-def test_det_of_sum_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine"):
-        det_of_sum([A2, B2], "cofactor")
-
-
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_det_of_sum_is_the_multinomial_sum_of_engine_values(name):
-    # the kernel on a row selection of the validated stack gives the very
-    # values of the public engine on the repeated tuple
+    # each engine's values on the repeated tuples sum to det_of_sum's; the
+    # default engine's give it exactly, as its terms are those very values
     mats = rand_tuple(3, 1600)
     expected = 0.0 + 0.0j
     for comp in compositions(3, 3):
         repeated = [m for m, k in zip(mats, comp) for _ in range(k)]
         expected += multinomial(3, comp) * polydet(repeated, name).value
-    assert det_of_sum(mats, name) == expected
+    got = det_of_sum(mats)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+    assert got == expected or name != DEFAULT_ENGINE
 
 
 # --- stacked, norm-scaled subset-sum kernel -------------------------------------
@@ -799,64 +796,82 @@ def test_det_of_sum_batches_the_compositions(monkeypatch):
     assert max(taken) <= 256 and len(taken) <= 12
 
 
+def refused_before_listing(n, r):
+    """Whether ``det_of_sum`` on r summands of size n raises its guard before building its table."""
+    listed = engines_module._composition_table.cache_info().misses
+    with pytest.raises(GuardLimitError, match="predicted cost"):
+        det_of_sum([np.eye(n)] * r)
+    return engines_module._composition_table.cache_info().misses == listed
+
+
 def test_det_of_sum_guards_its_composition_count():
     # C(47, 23) = 1.6e13 compositions of 24 into 24 parts: refused before any is listed
-    listed = engines_module._composition_table.cache_info().misses
-    with pytest.raises(GuardLimitError, match="compositions"):
-        det_of_sum([np.eye(24)] * 24)
-    assert engines_module._composition_table.cache_info().misses == listed
+    assert refused_before_listing(24, 24)
 
 
 def test_det_of_sum_work_counts_the_composition_table_determinants():
-    # counted per multiplicity pattern, it equals the determinants of the table's
-    # groups: prod_{j >= 2} (m_j + 1) each, 2^(N-1) on the sign grid
+    # counted per multiplicity pattern, its determinants are those of the table's
+    # groups: prod_{j >= 2} (m_j + 1) each, 2^(N-1) on the sign grid, each weighed
+    # N^3 + offset, beside the listing's C r entries
     for n in range(1, 9):
         for r in range(1, 9):
-            _, _, grids = engines_module._composition_table(n, r)
+            _, grids = engines_module._composition_table(n, r)
             taken = sum(len(where) * math.prod(m + 1 for m in pattern[1:]) for pattern, where, _ in grids)
-            assert engines_module._det_of_sum_work(n, r) == taken, (n, r)
+            listing = math.comb(n + r - 1, r - 1) * r * engines_module._DET_OF_SUM_ENTRY_WORK
+            expected = listing + taken * (n**3 + engines_module._DET_OF_SUM_DET_OFFSET)
+            assert engines_module._det_of_sum_work(n, r) == expected, (n, r)
 
 
 def test_det_of_sum_refuses_a_call_just_over_its_work_bound():
-    # N = 10, r = 7 would take 554708 determinants over 8008 compositions, over the
-    # determinant bound alone; r = 6 (167688) is admitted.  The refusal comes
-    # before the table is built
+    # N = 10, r = 7 would take 554708 determinants over 8008 compositions, about
+    # 1.5 s; r = 6 (167688 determinants, about 0.45 s) is admitted.  The refusal
+    # comes before the table is built
     work = engines_module._det_of_sum_work
-    assert math.comb(16, 6) <= engines_module._DET_OF_SUM_MAX_COMPOSITIONS
-    assert work(10, 6) <= engines_module._DET_OF_SUM_MAX_DETS < work(10, 7) == 554708
-    listed = engines_module._composition_table.cache_info().misses
-    with pytest.raises(GuardLimitError, match="determinants"):
-        det_of_sum([np.eye(10)] * 7)
-    assert engines_module._composition_table.cache_info().misses == listed
+    assert work(10, 6) <= engines_module._DET_OF_SUM_BUDGET < work(10, 7)
+    assert refused_before_listing(10, 7)
+
+
+@pytest.mark.parametrize(
+    "n, r, admitted",
+    ((14, 5, False), (20, 4, False), (21, 4, False), (6, 12, True), (6, 14, True), (4, 30, True), (40, 2, True)),
+)
+def test_det_of_sum_weighs_each_determinant_by_its_size(n, r, admitted):
+    # a 20 x 20 determinant costs about 6x an 8 x 8 one, so N = 14, r = 5 (359170
+    # determinants, about 2 s) and N = 20, r = 4 (314030, about 3 s) are refused,
+    # while N = 6, r = 12 (309156, about 0.4 s) and N = 4, r = 30 (321495 and
+    # 1.2e6 composition entries, about 0.55 s) are admitted; N = 40, r = 2 walks
+    # the 21 partitions of 40 into at most two parts, not all 37338
+    assert (engines_module._det_of_sum_work(n, r) <= engines_module._DET_OF_SUM_BUDGET) == admitted
+    if not admitted:
+        assert refused_before_listing(n, r)
 
 
 @pytest.mark.parametrize("r", (141, 706))
 def test_det_of_sum_bounds_its_listing_at_small_n(r):
-    # at N = 2 the cost is listing the C(r + 1, 2) compositions of length r, not the
-    # r (r + 1) determinants (499142 at r = 706, under their bound): the composition
-    # count refuses r = 141 (10011) before the table is built; r = 140 (9870) is admitted
-    assert engines_module._det_of_sum_work(2, r) <= engines_module._DET_OF_SUM_MAX_DETS
-    assert math.comb(r + 1, 2) > engines_module._DET_OF_SUM_MAX_COMPOSITIONS >= math.comb(141, 2)
-    listed = engines_module._composition_table.cache_info().misses
-    with pytest.raises(GuardLimitError, match="compositions"):
-        det_of_sum([np.eye(2)] * r)
-    assert engines_module._composition_table.cache_info().misses == listed
+    # at N = 2 the cost is mostly listing the C(r + 1, 2) compositions of length r:
+    # r = 141 (10011 compositions, about 0.2 s) and up to r = 236 are admitted, and
+    # r = 237 and r = 706 (249571 compositions) are refused before the table is built
+    work = engines_module._det_of_sum_work
+    assert work(2, 236) <= engines_module._DET_OF_SUM_BUDGET < work(2, 237)
+    if r <= 236:
+        assert work(2, r) <= engines_module._DET_OF_SUM_BUDGET
+    else:
+        assert refused_before_listing(2, r)
 
 
 def test_det_of_sum_bounds_its_composition_entries():
     # at N = 1 the r compositions of length r are the unit vectors: r = 1000 lists
-    # 10^6 entries and is admitted, its value the sum of the 1 x 1 summands; r = 1225
-    # (1500625 entries) and r = 5000 are refused before the table is built
+    # 10^6 entries and is admitted, its value the sum of the 1 x 1 summands; so is
+    # r = 1225 (1500625 entries, about 0.3 s), up to r = 2642; r = 2643 and r = 5000
+    # (2.5 10^7 entries, about 3 s) are refused before the table is built
     rng = np.random.default_rng(4100)
     scalars = rng.uniform(-1.0, 1.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
     value = det_of_sum(scalars.reshape(-1, 1, 1))
     assert abs(value - scalars.sum()) <= 1e-12 * np.abs(scalars).sum()
-    assert 1000 * 1000 <= engines_module._DET_OF_SUM_MAX_ENTRIES < 1225 * 1225
-    for r in (1225, 5000):
-        listed = engines_module._composition_table.cache_info().misses
-        with pytest.raises(GuardLimitError, match="entries"):
-            det_of_sum([np.eye(1)] * r)
-        assert engines_module._composition_table.cache_info().misses == listed
+    work = engines_module._det_of_sum_work
+    assert work(1, 1225) <= work(1, 2642) <= engines_module._DET_OF_SUM_BUDGET < work(1, 2643)
+    for r in (2643, 5000):
+        assert refused_before_listing(1, r)
 
 
 def test_det_of_sum_memory_is_bounded():
@@ -913,9 +928,25 @@ def test_every_multiplicity_pattern_agrees_with_volume_and_trace_formula(n):
                 mats = [m * scales[m.tobytes()] for m in mats]
             got = polydet(mats)
             assert got.grid == ("roots" if grid_pays(pattern) else "signs")
-            for name in ("volume", "trace_formula"):
+            # every other engine admits n <= 6
+            for name in sorted(set(ENGINES) - {DEFAULT_ENGINE}):
                 ref = polydet(mats, name).value
                 assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref)), (pattern, spread, name)
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name in sorted(ENGINES) for n in range(2, 8) if n <= GUARDS[name]]
+)
+def test_transpose_and_adjoint_identities(name, n):
+    # charge conjugation A_k -> A_k^T leaves eps unchanged and parity A_k -> A_k^dagger
+    # conjugates it, to at most 2.6e-14 here (trace_formula).  A kernel that treats row
+    # and column permutations unalike breaks both: an unsigned sum over sigma in the
+    # row-mixed sum reads them 1.2-1.5 relative off
+    mats = np.stack(rand_tuple(n, 5000 + 10 * n))
+    transposed = mats.transpose(0, 2, 1)
+    value, c_image, p_image = polydet_many([mats, transposed, transposed.conj()], name)
+    assert abs(c_image - value) <= 1e-12 * abs(value)
+    assert abs(p_image - np.conj(value)) <= 1e-12 * abs(value)
 
 
 @pytest.mark.parametrize("n", (8, 12, 16))
