@@ -8,11 +8,11 @@ A_k = (1/sqrt(2)) sum_a (s_k^a + i p_k^a) t^a; metric signature (+,-,-,-).
 A basis is one read-only (N_f^2, N_f, N_f) stack, and every field matrix,
 or stack of them, is assembled from it by ``assemble_field_matrix``.
 
-A step that needs many values of eps -- the 3-flavor eps table (165
-tuples), the field-expansion fit (one tuple per sample) and the Lorentz
-contraction (16) -- validates its tuples once and takes them from one
-``polydet_many`` batch.  An invariance ratio validates its tuple and both
-factors once and hands its two-row batch straight to the default kernel.
+The 3-flavor eps table is ``det_of_sum``'s compositions of 3 over the nine
+generators (``engines._composition_values``).  The field-expansion fit (one
+tuple per sample) and the Lorentz contraction (16) take their tuples from one
+``polydet_many`` batch, validated once.  An invariance ratio validates its
+tuple and both factors once and hands its two-row batch to the default kernel.
 Lorentz-indexed families are stacked into one array and transformed or
 metric-converted by one ``einsum``.
 
@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engines import DEFAULT_ENGINE, _kernel, polydet, polydet_many
+from .engines import DEFAULT_ENGINE, _composition_values, _kernel, polydet, polydet_many
 # ``det`` is the trusted stack kernel: the stacks it gets are assembled or validated here
 from .matrices import _float_array, as_matrix, det_stack as det, identity, validate_matrix_tuple
 
@@ -445,9 +445,8 @@ def transform_family(fam: LorentzIndexedFamily, lam: np.ndarray) -> LorentzIndex
 @lru_cache(maxsize=1)
 def _eps3_table() -> np.ndarray:
     """eps(t^a, t^b, t^c) over the 3-flavor basis, all 9^3 combinations."""
-    # eps is symmetric in its arguments, so the 165 tuples with a <= b <= c give the table
-    abc = np.array(list(itertools.combinations_with_replacement(range(9), 3)))
-    values = polydet_many(_BASIS3.generators[abc])
+    # eps is symmetric, so the compositions' 165 repeated tuples a <= b <= c give the table
+    abc, _, values = _composition_values(_BASIS3.generators)
     table = np.zeros((9, 9, 9), dtype=np.complex128)
     for order in itertools.permutations(range(3)):
         table[tuple(abc[:, order].T)] = values

@@ -52,9 +52,9 @@ engine at N >= 4 both plan each tuple alone (``_row_plan``), finding its
 repeated arguments by exact equality of their bytes, and run one grid kernel
 per multiplicity pattern; every other tuple, all-distinct or not, and every
 tuple at N <= 3 take the all-ones pattern over their own argument
-positions.  ``det_of_sum`` validates its summands once, is guarded by
-the predicted cost of its first call at (N, r), and takes its compositions
-from a table cached per (N, r), each on its own grid.
+positions.  ``det_of_sum`` and a basis's eps table share one guarded function,
+``_composition_values``, over one listing cached per (N, r): each composition
+of N into r parts as its repeated tuple, each on its own grid.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import numpy as np
 from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
-    compositions,
+    compositions,  # noqa: F401  kept bound here for perfbench's traced run
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
 )
@@ -103,11 +103,12 @@ _LU_CHUNK = 256
 # subset_sum: points in the low table of the roots grid, so one chunk is at most 2^8 matrices
 _SUBSET_LOW_BITS = 8
 # det_of_sum: the predicted cost of a first call (``_det_of_sum_work``), in steps of about
-# 1.4 ns: 100 for each of the C r entries of the composition listing, N^3 + 700 for each
-# N x N determinant; the budget is about 1 s.  Fitted to cold calls at N = 1..24 (one BLAS
-# thread, 2-CPU VM): each from 0.05 s up was predicted within 1.7x of its time
+# 1.4 ns: 100 for each of the C N entries of the repeated tuples, N^3 + 700 for each LU and
+# N^3 + 150 for each Leibniz (N <= 3) determinant; the budget is about 1 s.  Fitted to cold
+# calls (one BLAS thread, 2-CPU VM): LU at N = 1..24, the others at N = 1..3
 _DET_OF_SUM_ENTRY_WORK = 100
 _DET_OF_SUM_DET_OFFSET = 700
+_DET_OF_SUM_LEIBNIZ_OFFSET = 150
 _DET_OF_SUM_BUDGET = 7e8
 
 
@@ -429,68 +430,55 @@ def _ascending_partitions(n: int, parts: int, smallest: int = 1) -> Iterator[tup
 def _det_of_sum_work(n: int, r: int) -> int:
     """The predicted cost of ``det_of_sum``'s first call at N = n and r summands, in steps.
 
-    Its C = C(n + r - 1, r - 1) compositions list C r entries; when those
-    alone exceed the budget, that is the cost.  Else the determinants are
-    counted per multiplicity pattern, walking the partitions m_1 <= ... <=
-    m_k of n into at most r parts: r! / ((r - k)! prod_s c_s!) compositions
-    (c_s parts of size s), each taking prod_{j >= 2} (m_j + 1) when the
-    roots grid of m pays, else the 2^(N-1) of the sign grid.
+    The listing of C = C(n + r - 1, n) repeated tuples of n entries, alone when it exceeds the
+    budget; else also the determinants, per partition m_1 <= ... <= m_k of n into at most r
+    parts: r! / ((r - k)! prod_s c_s!) compositions (c_s parts of size s), each taking
+    prod_{j >= 2} (m_j + 1) when the roots grid of m pays, else the 2^(N-1) of the sign grid.
     """
-    listing = math.comb(n + r - 1, r - 1) * r * _DET_OF_SUM_ENTRY_WORK
+    listing = math.comb(n + r - 1, r - 1) * n * _DET_OF_SUM_ENTRY_WORK
     if listing > _DET_OF_SUM_BUDGET:
         return listing
     dets = 0
     for pattern in _ascending_partitions(n, r):
         grid = math.prod(m + 1 for m in pattern[1:]) if _roots_grid_pays(pattern) else 1 << (n - 1)
-        dets += multinomial(r, (r - len(pattern), *map(pattern.count, set(pattern)))) * grid
-    return listing + dets * (n**3 + _DET_OF_SUM_DET_OFFSET)
+        dets += math.perm(r, len(pattern)) // math.prod(math.factorial(pattern.count(m)) for m in set(pattern)) * grid
+    return listing + dets * (n**3 + (_DET_OF_SUM_DET_OFFSET if n > LEIBNIZ_MAX_N else _DET_OF_SUM_LEIBNIZ_OFFSET))
 
 
 @lru_cache(maxsize=16)
 def _composition_table(n: int, r: int):
-    """The compositions of n into r parts, in ``compositions`` order, for ``det_of_sum``.
+    """The compositions of n into r parts as their repeated tuples, in ``compositions`` order.
 
-    Returns (weights, grids): the (C,) float multinomial of each
-    composition and, for each multiplicity pattern, (pattern, positions,
-    order).  A composition whose roots grid pays has the pattern of its
-    non-zero parts, and order[i] lists those summands by part and then
-    index, as ``polydet`` orders the distinct arguments of the repeated
-    tuple; any other has pattern (1, ..., 1), and order[i] is its repeated
-    tuple, each summand index k_j times in index order.
+    Composition (k_1, ..., k_r) is the sorted tuple that repeats summand j k_j times; sorted
+    tuples ascending are compositions descending.  Returns (tuples, weights, grids): the (C, n)
+    tuples, the (C,) float multinomial of each and, per multiplicity pattern, (pattern,
+    positions, order).  Where the roots grid pays, the pattern is that of the tuple's runs and
+    order[i] their summands by length, then index, as ``polydet`` orders distinct arguments;
+    any other composition has pattern (1, ..., 1), and order[i] is its tuple.
     """
-    comps = list(compositions(n, r))
-    weights = np.array([float(multinomial(n, comp)) for comp in comps])
-    weights.flags.writeable = False
-    groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    for position, comp in enumerate(comps):
-        present = [j for j in range(r) if comp[j]]
-        order = sorted(present, key=comp.__getitem__)
-        pattern = tuple(comp[j] for j in order)
-        if not _roots_grid_pays(pattern):
-            pattern, order = (1,) * n, [j for j in present for _ in range(comp[j])]
-        positions, orders = groups.setdefault(pattern, ([], []))
-        positions.append(position)
-        orders.append(order)
-    return weights, [(pattern, np.array(positions), np.array(orders)) for pattern, (positions, orders) in groups.items()]
+    listed = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(r), n))
+    tuples = np.fromiter(listed, dtype=np.intp).reshape(-1, n)
+    # each entry keyed by its run's length r + its summand; sorted, a tuple's runs come by
+    # length, then summand, so run j of pattern m starts at entry m_1 + ... + m_(j-1)
+    keys = np.sort((tuples[:, :, None] == tuples[:, None, :]).sum(axis=2) * r + tuples, axis=1)
+    weights = np.empty(len(tuples))
+    groups: dict[tuple[int, ...], np.ndarray] = {}
+    for pattern in _ascending_partitions(n, r):
+        where = (keys // r == np.repeat(pattern, pattern)).all(axis=1)
+        weights[where] = float(multinomial(n, pattern))
+        grid = pattern if _roots_grid_pays(pattern) else (1,) * n
+        groups[grid] = groups.get(grid, False) | where
+    tuples.flags.writeable = weights.flags.writeable = False
+    orders = {p: tuples[w] if len(p) == n else keys[w][:, np.cumsum(p) - p] % r for p, w in groups.items()}
+    return tuples, weights, [(p, np.flatnonzero(w), orders[p]) for p, w in groups.items()]
 
 
-def det_of_sum(mats: Sequence) -> complex:
-    """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
+def _composition_values(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tuples, weights, values) of the compositions of N over a trusted stack of r summands.
 
-    Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over all
-    compositions of N = matrix dimension into r non-negative parts, as a
-    running sum in ``compositions`` order; each composition's value is the
-    default engine's own value on its repeated tuple.  The r summands are
-    validated once and the compositions come from a table cached per
-    (N, r), taken pattern by pattern, each on its own grid with its own
-    extraction row (never read off one shared transform of the summands,
-    which would make the sum equal det(sum A_k) by construction).  A call
-    whose predicted first-call cost (``_det_of_sum_work``: the listing's
-    C r entries and the determinants, each weighted by its size) exceeds
-    ``_DET_OF_SUM_BUDGET``, about 1 s, raises ``GuardLimitError`` before
-    any composition is listed.
+    values[i] is the default engine's eps of tuple i on its own grid; a predicted first-call
+    cost over ``_DET_OF_SUM_BUDGET`` raises ``GuardLimitError`` before anything is listed.
     """
-    stack = as_stack(mats, name="summands")
     r, n = len(stack), stack.shape[-1]
     work = _det_of_sum_work(n, r)
     if work > _DET_OF_SUM_BUDGET:
@@ -498,9 +486,22 @@ def det_of_sum(mats: Sequence) -> complex:
             f"det_of_sum guarded at a predicted cost of {_DET_OF_SUM_BUDGET:.3g} steps (about 1 s), "
             f"got {work:.3g} for n={n}, r={r}"
         )
-    weights, grids = _composition_table(n, r)
+    tuples, weights, grids = _composition_table(n, r)
     values = np.empty(len(weights), dtype=np.complex128)
     for pattern, where, order in grids:
         values[where] = _grid_values(stack, order, pattern)
+    return tuples, weights, values
+
+
+def det_of_sum(mats: Sequence) -> complex:
+    """det(A_1 + ... + A_r) evaluated through the multinomial expansion.
+
+    Sums multinomial(N; k_1..k_r) * eps({A_1}^k_1, ..., {A_r}^k_r) over the compositions of
+    N = matrix dimension into r parts, as a running sum in ``compositions`` order, from
+    ``_composition_values``: each composition on its own grid, never off one shared transform
+    of the summands (which would make the sum det(sum A_k) by construction), and a call
+    predicted to take more than about 1 s refused with ``GuardLimitError``.
+    """
+    _, weights, values = _composition_values(as_stack(mats, name="summands"))
     # a running sum in composition order adds the terms as a loop of += would
     return complex(np.cumsum(weights * values)[-1])

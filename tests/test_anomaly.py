@@ -35,7 +35,7 @@ from polydet.anomaly import (
     verify_field_expansion,
     with_variance,
 )
-from polydet.engines import polydet, polydet_subset_sum
+from polydet.engines import polydet, polydet_many, polydet_subset_sum
 from polydet.matrices import det_stack, identity, random_matrix
 
 SQRT6 = math.sqrt(6.0)
@@ -688,6 +688,33 @@ def test_eps3_table_has_exact_zeros_and_no_noise():
     assert np.count_nonzero(table == 0) == 646
     assert np.count_nonzero(table) == 83
     assert np.min(np.abs(table[table != 0])) > 1e-3
+
+
+def eps3_batch_reference():
+    """The 3-flavor table as one ``polydet_many`` batch of the 165 sorted triples, filled over their six orders."""
+    abc = np.array(list(itertools.combinations_with_replacement(range(9), 3)))
+    values = polydet_many(build_generators(3).generators[abc])
+    table = np.zeros((9, 9, 9), dtype=np.complex128)
+    for order in itertools.permutations(range(3)):
+        table[tuple(abc[:, order].T)] = values
+    return table
+
+
+def test_eps3_table_is_the_batch_of_sorted_triples_byte_for_byte():
+    anomaly_module._eps3_table.cache_clear()
+    assert anomaly_module._eps3_table().tobytes() == eps3_batch_reference().tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_composition_values_of_a_basis_are_its_sorted_tuple_batch(n):
+    # the N_f-flavor eps values of the C(N_f^2 + N_f - 1, N_f) sorted generator
+    # tuples (10 at N_f = 2, 3876 at N_f = 4), in the order and to the bits of one
+    # ``polydet_many`` batch over the same tuples
+    gens = build_generators(n).generators
+    tuples, _, values = engines_module._composition_values(gens)
+    assert len(tuples) == math.comb(n * n + n - 1, n)
+    assert np.array_equal(tuples, list(itertools.combinations_with_replacement(range(n * n), n)))
+    assert values.tobytes() == polydet_many(gens[tuples]).tobytes()
 
 
 def vertices_loop_reference(couplings, tol=1e-10):

@@ -800,7 +800,7 @@ def refused_before_listing(n, r):
     """Whether ``det_of_sum`` on r summands of size n raises its guard before building its table."""
     listed = engines_module._composition_table.cache_info().misses
     with pytest.raises(GuardLimitError, match="predicted cost"):
-        det_of_sum([np.eye(n)] * r)
+        det_of_sum(np.broadcast_to(np.eye(n, dtype=complex), (r, n, n)))
     return engines_module._composition_table.cache_info().misses == listed
 
 
@@ -812,19 +812,33 @@ def test_det_of_sum_guards_its_composition_count():
 def test_det_of_sum_work_counts_the_composition_table_determinants():
     # counted per multiplicity pattern, its determinants are those of the table's
     # groups: prod_{j >= 2} (m_j + 1) each, 2^(N-1) on the sign grid, each weighed
-    # N^3 + offset, beside the listing's C r entries
+    # N^3 + the LU or (N <= 3) Leibniz offset, beside the listing's C repeated tuples of N entries
     for n in range(1, 9):
         for r in range(1, 9):
-            _, grids = engines_module._composition_table(n, r)
+            tuples, _, grids = engines_module._composition_table(n, r)
             taken = sum(len(where) * math.prod(m + 1 for m in pattern[1:]) for pattern, where, _ in grids)
-            listing = math.comb(n + r - 1, r - 1) * r * engines_module._DET_OF_SUM_ENTRY_WORK
-            expected = listing + taken * (n**3 + engines_module._DET_OF_SUM_DET_OFFSET)
+            listing = tuples.size * engines_module._DET_OF_SUM_ENTRY_WORK
+            offset = engines_module._DET_OF_SUM_DET_OFFSET if n > 3 else engines_module._DET_OF_SUM_LEIBNIZ_OFFSET
+            expected = listing + taken * (n**3 + offset)
             assert engines_module._det_of_sum_work(n, r) == expected, (n, r)
+
+
+def test_composition_table_lists_the_repeated_tuples_in_composition_order():
+    # each repeated tuple counts its summands into one composition, in ``compositions``
+    # order, weighed by its multinomial; every composition sits in exactly one grid group
+    for n in range(1, 7):
+        for r in range(1, 9):
+            tuples, weights, grids = engines_module._composition_table(n, r)
+            comps = list(compositions(n, r))
+            assert [tuple(np.bincount(t, minlength=r)) for t in tuples] == comps, (n, r)
+            assert np.array_equal(tuples, np.sort(tuples, axis=1))
+            assert weights.tolist() == [float(multinomial(n, comp)) for comp in comps], (n, r)
+            assert sorted(np.concatenate([where for _, where, _ in grids]).tolist()) == list(range(len(comps)))
 
 
 def test_det_of_sum_refuses_a_call_just_over_its_work_bound():
     # N = 10, r = 7 would take 554708 determinants over 8008 compositions, about
-    # 1.5 s; r = 6 (167688 determinants, about 0.45 s) is admitted.  The refusal
+    # 1.3 s; r = 6 (167688 determinants, about 0.4 s) is admitted.  The refusal
     # comes before the table is built
     work = engines_module._det_of_sum_work
     assert work(10, 6) <= engines_module._DET_OF_SUM_BUDGET < work(10, 7)
@@ -837,10 +851,10 @@ def test_det_of_sum_refuses_a_call_just_over_its_work_bound():
 )
 def test_det_of_sum_weighs_each_determinant_by_its_size(n, r, admitted):
     # a 20 x 20 determinant costs about 6x an 8 x 8 one, so N = 14, r = 5 (359170
-    # determinants, about 2 s) and N = 20, r = 4 (314030, about 3 s) are refused,
-    # while N = 6, r = 12 (309156, about 0.4 s) and N = 4, r = 30 (321495 and
-    # 1.2e6 composition entries, about 0.55 s) are admitted; N = 40, r = 2 walks
-    # the 21 partitions of 40 into at most two parts, not all 37338
+    # determinants, about 1.4 s) and N = 20, r = 4 (314030, about 2.3 s) are refused,
+    # while N = 6, r = 12 (309156, about 0.3 s) and N = 4, r = 30 (321495 over 40920
+    # repeated tuples, about 0.2 s) are admitted; N = 40, r = 2 walks the 21
+    # partitions of 40 into at most two parts, not all 37338
     assert (engines_module._det_of_sum_work(n, r) <= engines_module._DET_OF_SUM_BUDGET) == admitted
     if not admitted:
         assert refused_before_listing(n, r)
@@ -848,30 +862,29 @@ def test_det_of_sum_weighs_each_determinant_by_its_size(n, r, admitted):
 
 @pytest.mark.parametrize("r", (141, 706))
 def test_det_of_sum_bounds_its_listing_at_small_n(r):
-    # at N = 2 the cost is mostly listing the C(r + 1, 2) compositions of length r:
-    # r = 141 (10011 compositions, about 0.2 s) and up to r = 236 are admitted, and
-    # r = 237 and r = 706 (249571 compositions) are refused before the table is built
+    # at N = 2 each of the C(r + 1, 2) compositions is a repeated pair and two
+    # 2 x 2 Leibniz determinants: r = 141 (10011 compositions, about 7 ms) and
+    # r = 706 (249571, about 0.17 s) are admitted, up to r = 1646 (1355481, about
+    # 1 s); r = 1647 is refused before the table is built
     work = engines_module._det_of_sum_work
-    assert work(2, 236) <= engines_module._DET_OF_SUM_BUDGET < work(2, 237)
-    if r <= 236:
-        assert work(2, r) <= engines_module._DET_OF_SUM_BUDGET
-    else:
-        assert refused_before_listing(2, r)
+    assert work(2, r) <= work(2, 1646) <= engines_module._DET_OF_SUM_BUDGET < work(2, 1647)
+    assert refused_before_listing(2, 1647)
 
 
 def test_det_of_sum_bounds_its_composition_entries():
-    # at N = 1 the r compositions of length r are the unit vectors: r = 1000 lists
-    # 10^6 entries and is admitted, its value the sum of the 1 x 1 summands; so is
-    # r = 1225 (1500625 entries, about 0.3 s), up to r = 2642; r = 2643 and r = 5000
-    # (2.5 10^7 entries, about 3 s) are refused before the table is built
+    # at N = 1 the r compositions of length r are the single summands: r = 1000,
+    # 2643 and 5000 are admitted, each value the sum of the 1 x 1 summands; so is
+    # r = 1225, up to r = 2788844 (about 0.9 s); r = 2788845 is refused before the
+    # table is built
     rng = np.random.default_rng(4100)
-    scalars = rng.uniform(-1.0, 1.0, 1000) + 1j * rng.uniform(-1.0, 1.0, 1000)
-    value = det_of_sum(scalars.reshape(-1, 1, 1))
-    assert abs(value - scalars.sum()) <= 1e-12 * np.abs(scalars).sum()
+    for r in (1000, 2643, 5000):
+        scalars = rng.uniform(-1.0, 1.0, r) + 1j * rng.uniform(-1.0, 1.0, r)
+        value = det_of_sum(scalars.reshape(-1, 1, 1))
+        assert abs(value - scalars.sum()) <= 1e-12 * np.abs(scalars).sum()
     work = engines_module._det_of_sum_work
-    assert work(1, 1225) <= work(1, 2642) <= engines_module._DET_OF_SUM_BUDGET < work(1, 2643)
-    for r in (2643, 5000):
-        assert refused_before_listing(1, r)
+    assert work(1, 1225) <= work(1, 5000) <= work(1, 2788844) <= engines_module._DET_OF_SUM_BUDGET
+    assert engines_module._DET_OF_SUM_BUDGET < work(1, 2788845)
+    assert refused_before_listing(1, 2788845)
 
 
 def test_det_of_sum_memory_is_bounded():
