@@ -7,9 +7,10 @@ trusted kernel that the engines and :func:`inverse` call on stacks they
 have already made or checked: :func:`det_leibniz` for n <= 3, over the one
 cached table :func:`signed_permutations`, and LAPACK LU above.
 :func:`trace_sum_plan` compiles a weighted sum of products of word traces
-once, to be evaluated on any stack in stacked products; the symbolic
-layer compiles every expansion's plan, and the trace-formula engine's, by
-it.  All functions are pure.
+once, to be evaluated on any complex stack in stacked real products,
+which numpy runs several times faster than small complex ones.  The
+symbolic layer compiles every expansion's plan, and the trace-formula
+engine's, by it.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -126,14 +127,18 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
 
     ``terms`` are (weight, words) pairs whose words are non-empty tuples of
     indices into a stack; pass one spelling per cyclic word, since words
-    are numbered as given.  The returned function takes an (N, n, n) stack.
-    Into one buffer of prefix products it copies the first letters of the
-    longer words and multiplies the needed prefixes of each length in one
-    stacked ``matmul`` from those one letter shorter.  Tr(P @ A) is the sum
-    of P's entries times A^T's, so one product of the (prefixes, n^2)
-    buffer with the (n^2, letters) transposed last letters holds the trace
-    of every prefix times every letter, and one gather takes each word of
-    two or more letters from it; one ``trace`` of the stack gives the
+    are numbered as given.  The returned function takes an (N, n, n)
+    complex stack and multiplies in real arithmetic: each letter A, once
+    per call, as the (2n, 2n) form [[Re A, Im A], [-Im A, Re A]], and each
+    prefix product P as the (n, 2n) [Re P | Im P], which times A's form is
+    [Re PA | Im PA].  Into one buffer of prefixes it copies the first
+    letters of the longer words and multiplies the needed prefixes of each
+    length in one stacked ``matmul`` from those one letter shorter.
+    Tr(P A) is the sum of P's entries times A^T's, so one product of the
+    (prefixes, 2n^2) buffer with the top and bottom halves of the last
+    letters' transposed forms holds (Re, Im) of the trace of every prefix
+    times every letter; viewed as complex, one gather takes each word of
+    two or more letters from it.  One ``trace`` of the stack gives the
     one-letter words.  A (words, terms) gather of the trace vector, whose
     trailing 1.0 pads the terms with fewer words, is multiplied row by row
     into the terms' products.
@@ -174,12 +179,16 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
         tr = np.empty(pad + 1, dtype=np.complex128)
         tr[: len(singles)] = np.trace(stack[single_letters], axis1=1, axis2=2)
         tr[pad] = 1.0
-        prods = np.empty((starts[-1], n, n), dtype=np.complex128)
-        prods[: len(firsts)] = stack[firsts]
+        forms = np.empty((len(stack), 2 * n, 2 * n))  # [[Re A, Im A], [-Im A, Re A]] of each letter
+        forms[:, :n, :n] = forms[:, n:, n:] = stack.real
+        forms[:, :n, n:] = stack.imag
+        np.negative(stack.imag, out=forms[:, n:, :n])
+        prods = np.empty((starts[-1], n, 2 * n))  # [Re P | Im P] of each prefix
+        prods[: len(firsts)] = forms[firsts, :n]
         for parent, last, out in levels:
-            np.matmul(prods[parent], stack[last], out=prods[out])
-        turned = stack[lasts].transpose(0, 2, 1).reshape(len(lasts), n * n)
-        tr[len(singles) : pad] = (prods.reshape(-1, n * n) @ turned.T).ravel()[gather]
+            np.matmul(prods[parent], forms[last], out=prods[out])
+        turned = forms[lasts].transpose(0, 2, 1).reshape(2 * len(lasts), 2 * n * n)
+        tr[len(singles) : pad] = (prods.reshape(-1, 2 * n * n) @ turned.T).view(np.complex128).ravel()[gather]
         return complex(weights @ np.multiply.reduce(tr[index], axis=0))
 
     return value

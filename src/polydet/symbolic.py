@@ -310,12 +310,24 @@ def parse_expansion(text) -> TraceExpansion:
     breaks any of these raises ValueError naming it.  Each distinct
     coefficient spelling and word is checked once, when first seen.
 
-    A text that is, up to JSON whitespace at either end, the json render
-    of ``expand_polydet(n, labels)``, the labels read off its first term's
-    n one-letter words, is that expansion, with its class table's form
-    and plan: such a text is valid by construction.  Any other input is
-    read term by term.
+    A string is first read from its head: only ``{"n": <n>, "terms":
+    [<first term>`` is decoded (``json.JSONDecoder.raw_decode``), the
+    labels are read off the first term's n one-letter words, and if the
+    text is, up to JSON whitespace at either end, the json render of
+    ``expand_polydet(n, labels)``, it is that expansion, with its class
+    table's form and plan: such a text is valid by construction, and is
+    never decoded in full.  Any other input, and any head that does not
+    decode so, is decoded in full (``json.loads``) and read term by term.
     """
+    if isinstance(text, str):
+        body = text.strip(" \t\n\r")
+        decode = json.JSONDecoder().raw_decode
+        with suppress(ValueError, TypeError, LookupError):  # a head that does not decode: read in full below
+            n, end = decode(body, len('{"n": '))
+            first, _ = decode(body, end + len(', "terms": ['))
+            expansion = expand_polydet(n, [w[0] for w in first["words"]])
+            if type(n) is int and body == render(expansion, "json"):
+                return expansion
     obj = json.loads(text) if isinstance(text, (str, bytes)) else text
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ValueError('expansion JSON must be an object with "n" and "terms" fields')
@@ -325,12 +337,6 @@ def parse_expansion(text) -> TraceExpansion:
     terms = obj["terms"]
     if type(terms) is not list:
         raise ValueError(f'"terms" must be a list, got {terms!r}')
-    first = terms[0].get("words") if terms and type(terms[0]) is dict else None
-    if isinstance(text, str) and 2 <= n <= EXPAND_MAX_N and type(first) is list and len(first) == n:
-        if all(type(w) is list and len(w) == 1 and type(w[0]) is str and w[0] for w in first):
-            expansion = expand_polydet(n, [w[0] for w in first])
-            if text.strip(" \t\n\r") == render(expansion, "json"):
-                return expansion
 
     # both readers name the term k that the loop below is reading
     def read_coefficient(spelling) -> Fraction:

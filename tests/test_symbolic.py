@@ -366,6 +366,68 @@ def test_evaluated_expansion_still_round_trips():
     assert render(reloaded, "latex") == rendered["latex"]
 
 
+def commuting_tuple(rng, rows, scales):
+    """A_k = s_k U diag(d_k) U^H with d_k the Gaussian integers rows[k] / 4, U Haar-random."""
+    n = len(rows[0])
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return [s * (u * (np.asarray(row) / 4)) @ u.conj().T for s, row in zip(scales, rows)]
+
+
+def exact_commuting_eps(rows, scales):
+    """eps of commuting_tuple(rows, scales): prod(s_k) perm(D) / N!, D[k][j] = rows[k][j] / 4,
+    with perm(4 D) by Ryser's formula on the Gaussian integers and the rest over Fraction."""
+    n = len(rows)
+    re = im = 0
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            pr, pi = (-1) ** size, 0
+            for row in rows:
+                sr, si = sum(int(row[j].real) for j in cols), sum(int(row[j].imag) for j in cols)
+                pr, pi = pr * sr - pi * si, pr * si + pi * sr
+            re, im = re + pr, im + pi
+    weight = (-1) ** n * math.prod(map(Fraction, scales)) / (4**n * math.factorial(n))
+    return complex(re * weight, im * weight)
+
+
+def gaussian_rows(rng, n):
+    return rng.integers(-4, 5, (n, n)) + 1j * rng.integers(-4, 5, (n, n))
+
+
+SCALES = {"unit": lambda rng, n: np.ones(n), "spread": lambda rng, n: 10.0 ** rng.uniform(-3.0, 3.0, n)}
+
+
+@pytest.mark.parametrize("spread", SCALES)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_trace_formula_matches_the_exact_eps_of_commuting_tuples(n, spread):
+    # a commuting normal tuple's eps is a permanent of its eigenvalues; the plan's
+    # value is within 1e-12 of it, relative, at unit norms and at norms over six decades
+    for seed in range(3):
+        rng = np.random.default_rng([4600, n, seed])
+        rows, scales = gaussian_rows(rng, n), SCALES[spread](rng, n)
+        exact = exact_commuting_eps(rows, scales)
+        assert exact != 0
+        got = polydet_trace_formula(commuting_tuple(rng, rows, scales)).value
+        assert abs(got - exact) <= 1e-12 * abs(exact), (seed, abs(got - exact) / abs(exact))
+
+
+@pytest.mark.parametrize("spread", SCALES)
+def test_evaluate_matches_the_exact_eps_on_every_n6_pattern(spread):
+    patterns = multiplicity_patterns(6)
+    assert len(patterns) == 32
+    for k, pattern in enumerate(patterns):
+        rng = np.random.default_rng([4700, k])
+        labels = slot_labels(pattern, "ABCDEF", 4700 + k)
+        names = sorted(set(labels))
+        rows, scales = gaussian_rows(rng, 6)[: len(names)], SCALES[spread](rng, len(names))
+        binding = dict(zip(names, commuting_tuple(rng, rows, scales)))
+        slots = [names.index(label) for label in labels]
+        exact = exact_commuting_eps(rows[slots], scales[slots])
+        assert exact != 0
+        got = evaluate(expand_polydet(6, labels), binding)
+        assert abs(got - exact) <= 1e-12 * abs(exact), (pattern, abs(got - exact) / abs(exact))
+
+
 def test_expand_guards():
     with pytest.raises(GuardLimitError):
         expand_polydet(7, list("ABCDEFG"))
@@ -507,6 +569,71 @@ def test_parse_expansion_reads_every_other_spelling_term_by_term(labels):
         for format in ("text", "latex", "json"):
             assert render(parsed, format) == render(reference, format)
     assert parse_expansion(inputs["shuffled"]) == e
+
+
+def refuse_full_decode(*args, **kwargs):
+    raise AssertionError("decoded the whole text")
+
+
+@pytest.mark.parametrize("labels", ["ABCDEF", "AAABBC", "BACCAB", "AB", "xyx"])
+def test_a_render_is_recognized_from_its_head(monkeypatch, labels):
+    # with json.loads refusing, a render, bare, with the newline `expand --out` writes after
+    # it, or with JSON whitespace around it, parses to its class expansion and table form
+    e = expand_polydet(len(labels), labels)
+    blob = render(e, "json")
+    table = symbolic_module._class_table(tuple(map(labels.count, sorted(set(labels)))))
+    monkeypatch.setattr(symbolic_module.json, "loads", refuse_full_decode)
+    for text in (blob, blob + "\n", " \t" + blob + "\r\n", "\r\n\t " + blob + "\n\n"):
+        parsed = parse_expansion(text)
+        assert parsed == e and parsed._form[1] is table
+
+
+def outcome(parse, text):
+    """("value", the expansion) or ("error", its type, its message) of parse(text)."""
+    try:
+        return "value", parse(text)
+    except ValueError as error:
+        return "error", type(error), str(error)
+
+
+def near_misses(blob):
+    """A render's near misses: (name, text) pairs that are no render of an expansion."""
+    assert json.dumps(json.loads(blob)) == blob  # so an edit re-spells the rest as the render does
+
+    def edited(edit):
+        changed = json.loads(blob)
+        edit(changed)
+        return json.dumps(changed)
+
+    return [
+        ("coefficient", edited(lambda p: p["terms"][-1].update(coef=["7", "5"]))),
+        ("dropped-term", edited(lambda p: p["terms"].pop(len(p["terms"]) // 2))),
+        ("trailing-junk", blob + " {}"),
+        ("trailing-bracket", blob + "]"),
+        ("n-7", edited(lambda p: p.update(n=7))),
+        ("n-1", edited(lambda p: p.update(n=1))),
+        ("n-true", edited(lambda p: p.update(n=True))),
+        ("n-float", edited(lambda p: p.update(n=float(p["n"])))),
+        ("no-words", edited(lambda p: p["terms"][0].pop("words"))),
+        ("empty-label", edited(lambda p: p["terms"][0]["words"][0].__setitem__(0, ""))),
+        ("bytes", blob.encode()),
+    ]
+
+
+@pytest.mark.parametrize("labels", ["ABCDEF", "AAABBC", "AB"])
+def test_a_near_miss_of_a_render_is_read_as_before(monkeypatch, labels):
+    # each near miss decodes in full, once, and parses to what its decoded object parses to,
+    # or raises the same error: a text that is not valid JSON, json.loads' own
+    blob = render(expand_polydet(len(labels), labels), "json")
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(symbolic_module.json, "loads", lambda text: decoded.append(text) or loads(text))
+    for name, text in near_misses(blob):
+        decoded.clear()
+        got = outcome(parse_expansion, text)
+        assert decoded == [text], name
+        assert got == outcome(lambda t: parse_expansion(loads(t)), text), name
+        if name == "bytes":
+            assert got == ("value", expand_polydet(len(labels), labels))
 
 
 def test_render_json_roundtrip_byte_identical():
