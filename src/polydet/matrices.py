@@ -138,10 +138,11 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
     (prefixes, 2n^2) buffer with the top and bottom halves of the last
     letters' transposed forms holds (Re, Im) of the trace of every prefix
     times every letter; viewed as complex, one gather takes each word of
-    two or more letters from it.  One ``trace`` of the stack gives the
-    one-letter words.  A (words, terms) gather of the trace vector, whose
-    trailing 1.0 pads the terms with fewer words, is multiplied row by row
-    into the terms' products.
+    two or more letters from it, and a plan without such words builds no
+    forms.  One ``trace`` of the stack gives the one-letter words.  A
+    (words, terms) gather of the trace vector, whose trailing 1.0 pads the
+    terms with fewer words, is multiplied row by row into the terms'
+    products.
     """
     terms = list(terms)
     listed = [w for _, words in terms for w in words]
@@ -179,16 +180,17 @@ def trace_sum_plan(terms: Iterable[tuple[float, Sequence[tuple[int, ...]]]]) -> 
         tr = np.empty(pad + 1, dtype=np.complex128)
         tr[: len(singles)] = np.trace(stack[single_letters], axis1=1, axis2=2)
         tr[pad] = 1.0
-        forms = np.empty((len(stack), 2 * n, 2 * n))  # [[Re A, Im A], [-Im A, Re A]] of each letter
-        forms[:, :n, :n] = forms[:, n:, n:] = stack.real
-        forms[:, :n, n:] = stack.imag
-        np.negative(stack.imag, out=forms[:, n:, :n])
-        prods = np.empty((starts[-1], n, 2 * n))  # [Re P | Im P] of each prefix
-        prods[: len(firsts)] = forms[firsts, :n]
-        for parent, last, out in levels:
-            np.matmul(prods[parent], forms[last], out=prods[out])
-        turned = forms[lasts].transpose(0, 2, 1).reshape(2 * len(lasts), 2 * n * n)
-        tr[len(singles) : pad] = (prods.reshape(-1, 2 * n * n) @ turned.T).view(np.complex128).ravel()[gather]
+        if longer:
+            forms = np.empty((len(stack), 2 * n, 2 * n))  # [[Re A, Im A], [-Im A, Re A]] of each letter
+            forms[:, :n, :n] = forms[:, n:, n:] = stack.real
+            forms[:, :n, n:] = stack.imag
+            np.negative(stack.imag, out=forms[:, n:, :n])
+            prods = np.empty((starts[-1], n, 2 * n))  # [Re P | Im P] of each prefix
+            prods[: len(firsts)] = forms[firsts, :n]
+            for parent, last, out in levels:
+                np.matmul(prods[parent], forms[last], out=prods[out])
+            turned = forms[lasts].transpose(0, 2, 1).reshape(2 * len(lasts), 2 * n * n)
+            tr[len(singles) : pad] = (prods.reshape(-1, 2 * n * n) @ turned.T).view(np.complex128).ravel()[gather]
         return complex(weights @ np.multiply.reduce(tr[index], axis=0))
 
     return value

@@ -16,7 +16,11 @@ keeps order, so a call only spells each distinct word once.  An expansion
 from ``expand_polydet``, or parsed from its json render, carries its class
 table's form and the plan compiled with it; any other builds its form on
 first use.  :func:`render` and :func:`evaluate` read the form, and the
-trace-formula engine evaluates the all-distinct pattern's plan.
+trace-formula engine evaluates the all-distinct pattern's plan.  A render
+fills the form's template in its format, compiled once per form and format:
+static pieces, a few strings shared by all their places, with a slot for
+every letter between them, which one picker call fills from the spelled
+labels.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .combinatorics import (
     cycle_covers,
     multinomial,
 )
-from .matrices import as_matrix, trace_sum_plan
+from .matrices import as_matrix, as_stack, trace_sum_plan
 
 __all__ = [
     "TraceMonomial",
@@ -77,7 +81,7 @@ class TraceExpansion:
         slots = {label: i for i, label in enumerate(labels)}
         for w in words:
             words[w] = tuple(map(slots.__getitem__, w))
-        return labels, _Form([(coef, [words[w] for w in listed]) for coef, listed in self.terms])
+        return labels, _Form(self.n, [(coef, [words[w] for w in listed]) for coef, listed in self.terms])
 
     def __getstate__(self) -> dict:
         """Pickle the fields alone: the form is a cache, rebuilt on demand."""
@@ -115,7 +119,7 @@ IdWord = tuple[int, ...]
 IdTerm = tuple[Fraction, tuple[int, ...]]  # a coefficient and the indices of its words
 
 
-def _picker(indices: tuple[int, ...]) -> Callable[[Sequence], Sequence]:
+def _picker(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:
     """The function that takes the items at these indices from a sequence,
     as a sequence: an itemgetter of one index returns the item itself, so
     one is taken as a slice."""
@@ -125,43 +129,84 @@ def _picker(indices: tuple[int, ...]) -> Callable[[Sequence], Sequence]:
 
 
 class _Form:
-    """An expansion spelled in label ids: its distinct words, in order of
-    first appearance, and its terms as (coefficient, indices of their
-    words), with the pickers of each word's letters and each term's words.
-    Its plan and its terms' heads in each render format are made on first
-    use and kept."""
+    """An expansion's n and its terms spelled in label ids: its distinct
+    words, in order of first appearance, and its terms as (coefficient,
+    indices of their words), with the pickers of each word's letters and
+    each term's words.  Its plan, and its template in each render format,
+    are made on first use and kept.
 
-    def __init__(self, terms: Iterable[tuple[Fraction, Sequence[IdWord]]]):
+    A template is the render with a slot in place of every letter: the
+    static pieces between the slots, and the picker of the label ids that
+    fill them.  The slots, every letter's id and the gap after it (inside
+    a word, between a term's words, or before a term with a given
+    coefficient), are made once for all formats; a format spells each
+    kind of gap once, so its pieces are a few shared strings.
+    """
+
+    def __init__(self, n: int, terms: Iterable[tuple[Fraction, Sequence[IdWord]]]):
         terms = list(terms)
         index = {w: j for j, w in enumerate(dict.fromkeys(chain.from_iterable([words for _, words in terms])))}
+        self.n = n
         self.words = tuple(index)
         self.terms: tuple[IdTerm, ...] = tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in terms])
         self.spellers = tuple(map(_picker, self.words))  # per word: takes its letters from the labels
         self.pickers = tuple([_picker(js) for _, js in self.terms])  # per term: takes its words by index
-        self._heads: dict[Callable[[Fraction], str], list[str]] = {}
+        self._templates: dict[str, tuple[list, Callable[[Sequence], Sequence]]] = {}
 
-    def _by_coefficient(self, spell: Callable[[Fraction], object]) -> list:
-        """spell of each term's coefficient, called once per distinct coefficient."""
-        spelled: dict[tuple[int, int], object] = {}  # (numerator, denominator) -> its spelling
-        out = []
-        for coef, _ in self.terms:
-            key = coef.numerator, coef.denominator
-            if key not in spelled:
-                spelled[key] = spell(coef)
-            out.append(spelled[key])
-        return out
+    @cached_property
+    def _coefficients(self) -> tuple[list[Fraction], np.ndarray]:
+        """The distinct coefficients, in order of first appearance, and each term's index among them."""
+        seen: dict[tuple[int, int], tuple[int, Fraction]] = {}  # (numerator, denominator) -> (index, coefficient)
+        ks = [seen.setdefault((coef.numerator, coef.denominator), (len(seen), coef))[0] for coef, _ in self.terms]
+        return [coef for _, coef in seen.values()], np.array(ks, dtype=np.intp)
 
     @cached_property
     def plan(self) -> Callable[[np.ndarray], complex]:
         """The terms' plan over the stack of the labels' matrices in id
         order: every plan is compiled here."""
-        return trace_sum_plan(zip(self._by_coefficient(float), [pick(self.words) for pick in self.pickers]))
+        coefficients, ks = self._coefficients
+        weights = np.array(list(map(float, coefficients)))[ks]
+        return trace_sum_plan(zip(weights, [pick(self.words) for pick in self.pickers]))
 
-    def heads(self, spell: Callable[[Fraction], str]) -> list[str]:
-        """Per term, its coefficient spelled by a render format's speller."""
-        if spell not in self._heads:
-            self._heads[spell] = self._by_coefficient(spell)
-        return self._heads[spell]
+    @cached_property
+    def _slots(self) -> tuple[int, Callable[[Sequence], Sequence], Callable[[Sequence], Sequence]]:
+        """What every format's template shares: its count of letters, the
+        picker of every letter's label id, term by term and word by word,
+        and the picker of the gap after each letter but the last from a
+        format's gap pieces: 0 inside a word, 1 between a term's words, and
+        2 + k before a term whose coefficient is the k-th distinct one."""
+        listed = [js for _, js in self.terms]
+        counts = np.fromiter(map(len, listed), np.intp, len(listed))  # per term: its words
+        lengths = np.fromiter(map(len, self.words), np.intp, len(self.words))  # per word: its letters
+        if not (counts.all() and lengths.all()):
+            raise ValueError("an expansion with a term of no words or a word of no letters has no render")
+        slots = np.fromiter(chain.from_iterable(listed), np.intp)  # the words of every term, in order
+        sizes = lengths[slots]
+        ends = np.cumsum(sizes)  # the letters up to the end of each
+        owner = np.repeat(np.arange(len(slots)), sizes)  # each letter's place among the words
+        shift = np.cumsum(lengths)[slots] - ends  # from a letter's place to its place in the words' letters
+        letters = np.fromiter(chain.from_iterable(self.words), np.intp)[np.arange(len(owner)) + shift[owner]]
+        gaps = np.zeros(max(len(letters) - 1, 0), np.intp)
+        gaps[ends[:-1] - 1] = 1
+        gaps[ends[np.cumsum(counts)[:-1] - 1] - 1] = 2 + self._coefficients[1][1:]
+        return len(letters), _picker(letters.tolist()), _picker(gaps.tolist())
+
+    def template(self, format: str) -> tuple[list, Callable[[Sequence], Sequence]]:
+        """The template in a render format: the list of its pieces, with
+        None in each letter's slot, and the picker of the slots' label ids."""
+        if format not in self._templates:
+            _, opening, letters, closing, joiner, spell_head, separator, frame = _FORMATS[format]
+            coefficients, ks = self._coefficients
+            heads = list(map(spell_head, coefficients))
+            size, fill, spread = self._slots
+            start, end = frame(self.n, heads[ks[0]] if size else None)
+            pieces = [start + end]
+            if size:
+                between = [letters, closing + joiner + opening, *[closing + separator + head + opening for head in heads]]
+                pieces = [None] * (2 * size + 1)
+                pieces[0], pieces[2:-1:2], pieces[-1] = start + opening, spread(between), closing + end
+            self._templates[format] = pieces, fill
+        return self._templates[format]
 
 
 @lru_cache(maxsize=64)  # one key per multiplicity pattern: 62 for 2 <= n <= 6, and (1,) * N at N = 1, 7 for trace_formula
@@ -189,7 +234,7 @@ def _class_table(multiplicities: tuple[int, ...]) -> _Form:
     fact = math.factorial(n)
     coefficients = {count: Fraction(count, fact) for count in set(counts.values())}
     kept = sorted((words for words, count in counts.items() if count), key=_term_key)
-    form = _Form([(coefficients[counts[words]], words) for words in kept])
+    form = _Form(n, [(coefficients[counts[words]], words) for words in kept])
     form.plan  # compiled with the table, so no expansion of the class compiles one
     return form
 
@@ -231,12 +276,22 @@ def evaluate(expansion: TraceExpansion, binding: Mapping[str, np.ndarray]) -> co
     evaluates on its class table's cached plan; any other compiles its
     terms into a trace-sum plan on its first evaluation and keeps it.
     Labels the expansion does not use are ignored; a missing one raises
-    KeyError naming the first unbound label in term order.
+    KeyError naming the first unbound label in term order.  The binding is
+    stacked in one ``as_stack`` conversion; one that does not stack into
+    n x n matrices is read label by label, so the error names the first
+    label at fault in sorted order.
     """
     labels, form = expansion._form
     if not all(label in binding for label in labels):
         used = chain.from_iterable(chain.from_iterable([t.words for t in expansion.terms]))
         raise KeyError(f"unbound label {next(label for label in used if label not in binding)!r}")
+    try:
+        stack = as_stack([binding[label] for label in labels])
+    except (ValueError, TypeError):
+        pass  # the loop below names the label at fault
+    else:
+        if stack.shape[-1] == expansion.n:
+            return form.plan(stack)
     mats = []
     for label in labels:
         m = as_matrix(binding[label], name=f"binding[{label}]")
@@ -265,14 +320,30 @@ def _signed(spell_magnitude: Callable[[Fraction], str]) -> Callable[[Fraction], 
     return lambda coef: (" + " if coef > 0 else " - ") + (spell_magnitude(abs(coef)) if abs(coef) != 1 else "")
 
 
+def _signed_sum(n: int, head: str | None) -> tuple[str, str]:
+    """A signed sum's start, its first term's head without " + " (" - "
+    becomes "-"), and its end; "0" when it has no first term."""
+    if head is None:
+        return "0", ""
+    return (head[3:] if head.startswith(" + ") else "-" + head[3:]), ""
+
+
+def _json_payload(n: int, head: str | None) -> tuple[str, str]:
+    """The payload's start, up to its first term's head, and its end, which
+    closes the last term too."""
+    start = '{"n": ' + json.dumps(n) + ', "terms": ['
+    return (start, "]}") if head is None else (start + head, "]}]}")
+
+
 #: per format: the spelling of a label; a trace's opening, the joiner of its
 #: letters and its closing; the joiner of a term's traces; the spelling of a
-#: coefficient, which heads its term; and the separator of terms
+#: coefficient, which heads its term; the separator of terms; and the frame:
+#: the start and end of a render, from the n and the first term's head
 _FORMATS = {
-    "text": (str, "Tr(", "*", ")", "*", _signed(lambda mag: str(mag) + "*"), ""),
-    "latex": (str, "\\mathrm{Tr}(", "", ")", "", _signed(lambda mag: f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"), ""),
+    "text": (str, "Tr(", "*", ")", "*", _signed(lambda mag: str(mag) + "*"), "", _signed_sum),
+    "latex": (str, "\\mathrm{Tr}(", "", ")", "", _signed(lambda mag: f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"), "", _signed_sum),
     "json": (json.dumps, "[", ", ", "]", ", ",
-             lambda coef: '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": [', "]}, "),
+             lambda coef: '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": [', "]}, ", _json_payload),
 }
 
 
@@ -282,21 +353,18 @@ def render(expansion: TraceExpansion, format: str = "text") -> str:
     "text" and "latex" write a signed sum ("0" for no terms); "json" the
     text of json.dumps(payload, sort_keys=True), the payload {"n": n,
     "terms": [{"coef": [num, den], "words": [[label, ...], ...]}, ...]}.
-    A call spells the form's distinct words once and joins each term's
-    head, its coefficient spelled once per form, with its words.
+    A call fills the form's template in the format, compiled on the
+    form's first render in it: it spells the labels, takes every letter's
+    spelling by one picker call into the slots between the template's
+    pieces, and joins them once.
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown render format {format!r}")
-    spell, opening, letters, closing, joiner, spell_coefficient, separator = _FORMATS[format]
     labels, form = expansion._form
-    names = list(map(spell, labels))
-    words = [opening + letters.join(speller(names)) + closing for speller in form.spellers]
-    body = separator.join([head + joiner.join(pick(words)) for head, pick in zip(form.heads(spell_coefficient), form.pickers)])
-    if format == "json":
-        return '{"n": ' + json.dumps(expansion.n) + ', "terms": [' + body + ("]}" if form.terms else "") + "]}"
-    if not form.terms:
-        return "0"
-    return body[3:] if body.startswith(" + ") else "-" + body[3:]
+    pieces, fill = form.template(format)
+    parts = pieces.copy()
+    parts[1::2] = fill(list(map(_FORMATS[format][0], labels)))
+    return "".join(parts)
 
 
 def parse_expansion(text) -> TraceExpansion:

@@ -286,6 +286,40 @@ def test_evaluate_rejects_non_finite_binding():
         evaluate(e, {"A": np.eye(2), "B": np.array([[1.0, np.inf], [0.0, 1.0]])})
 
 
+def refuse_as_matrix(*args, **kwargs):
+    raise AssertionError("validated a label on its own")
+
+
+def test_evaluate_stacks_a_valid_binding_in_one_conversion(monkeypatch):
+    # a valid binding never reaches the per-label loop; an empty expansion is still 0
+    e = expand_polydet(3, ["A", "B", "A"])
+    binding = {"A": random_matrix(3, 3760), "B": random_matrix(3, 3761).tolist(), "Z": np.eye(5)}
+    value = evaluate(e, binding)
+    monkeypatch.setattr(symbolic_module, "as_matrix", refuse_as_matrix)
+    assert evaluate(e, binding) == value
+    assert evaluate(TraceExpansion(2, ()), {"A": np.eye(3)}) == 0j
+
+
+def test_evaluate_names_the_binding_at_fault():
+    # a binding that does not stack falls back to the per-label loop, which names the first
+    # label at fault in sorted order; an unused binding of another dimension is ignored
+    e = expand_polydet(2, ["A", "B"])
+    good = {"A": random_matrix(2, 3770), "B": random_matrix(2, 3771), "Z": np.eye(3)}
+    cases = [
+        ({"B": np.array([[1.0, np.inf], [0.0, 1.0]])}, "binding[B] contains non-finite entries"),
+        ({"B": np.eye(3)}, "binding[B] has dimension 3, expected 2"),
+        ({"A": np.eye(3), "B": np.eye(3)}, "binding[A] has dimension 3, expected 2"),
+        ({"A": [[1.0, 2.0], [3.0]]}, "binding[A] is ragged: its nested lists do not form an array"),
+        ({"B": np.ones((2, 3))}, "binding[B] must be square with n >= 1, got shape (2, 3)"),
+        ({"A": np.ones((3, 2)), "B": np.full((2, 2), np.nan)}, "binding[A] must be square with n >= 1, got shape (3, 2)"),
+    ]
+    for changed, message in cases:
+        with pytest.raises(ValueError) as error:
+            evaluate(e, {**good, **changed})
+        assert str(error.value) == message
+    assert evaluate(e, good) == evaluate(e, {"A": good["A"], "B": good["B"]})
+
+
 def test_evaluate_names_the_first_unbound_label_in_term_order():
     # words sort by length, so Z comes first though A sorts before it
     e = parse_expansion('{"n": 3, "terms": [{"coef": ["1", "1"], "words": [["A", "Y"], ["Z"]]}]}')
@@ -500,35 +534,55 @@ def test_render_json_is_json_dumps_of_the_payload(expansion):
     assert parse_expansion(render(expansion, "json")) == expansion
 
 
-def signed_sum_reference(expansion, format):
-    """render(..., "text" or "latex") by a loop over the terms and their words."""
-    opening, letters, joiner = ("Tr(", "*", "*") if format == "text" else ("\\mathrm{Tr}(", "", "")
-    parts = []
-    for coef, words in expansion.terms:
+def render_loop_reference(expansion, format):
+    """render by a loop over the terms, as it was before templates: each term's coefficient
+    head joined with its words, each word spelled letter by letter, and the terms joined."""
+    spell = json.dumps if format == "json" else str
+    opening, letters, joiner = {"text": ("Tr(", "*", "*"), "latex": ("\\mathrm{Tr}(", "", ""), "json": ("[", ", ", ", ")}[format]
+    closing = "]" if format == "json" else ")"
+
+    def head(coef):
+        if format == "json":
+            return '{"coef": ' + json.dumps([str(coef.numerator), str(coef.denominator)]) + ', "words": ['
         mag = abs(coef)
-        if mag == 1:
-            head = ""
-        elif format == "text":
-            head = f"{mag}*"
-        else:
-            head = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        traces = joiner.join(opening + letters.join(word) + ")" for word in words)
-        parts.append((" + " if coef > 0 else " - ") + head + traces)
-    signed = "".join(parts)
-    if not signed:
+        spelled = "" if mag == 1 else f"{mag}*" if format == "text" else f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        return (" + " if coef > 0 else " - ") + spelled
+
+    terms = [head(coef) + joiner.join(opening + letters.join(map(spell, word)) + closing for word in words) for coef, words in expansion.terms]
+    if format == "json":
+        return '{"n": ' + json.dumps(expansion.n) + ', "terms": [' + "]}, ".join(terms) + ("]}" if terms else "") + "]}"
+    body = "".join(terms)
+    if not body:
         return "0"
-    return signed[3:] if signed.startswith(" + ") else "-" + signed[3:]
+    return body[3:] if body.startswith(" + ") else "-" + body[3:]
+
+
+FORMATS = ("text", "latex", "json")
+LABEL_SETS = ("ABCDEF", ["\u00e9", '"q"', "a\\b", "Z", "x10", "x2"], ["{a}", "%s", '"q"', "a\\b", "\u00e9", "\x00"])
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_render_matches_the_loop_references_on_every_multiplicity_pattern(n):
-    for k, pattern in enumerate(multiplicity_patterns(n)):
-        labels = slot_labels(pattern, ["\u00e9", '"q"', "a\\b", "Z", "x10", "x2"], 20 * n + k)
-        e = expand_polydet(n, labels)
-        for expansion in (e, TraceExpansion(e.n, e.terms)):
-            assert render(expansion, "json") == json_payload_reference(e)
-            for format in ("text", "latex"):
-                assert render(expansion, format) == signed_sum_reference(e, format)
+    # on every pattern, under each label set: a fresh expansion, a copy that builds its own form,
+    # and its shuffled json text read term by term render as the per-term loop does in every
+    # format, and as one json.dumps of the payload in json; the pattern's expansions on other
+    # labels in the same order share one template per format
+    for names in LABEL_SETS:
+        for k, pattern in enumerate(multiplicity_patterns(n)):
+            labels = slot_labels(pattern, names, 20 * n + k)
+            e = expand_polydet(n, labels)
+            terms, rng, order = json.loads(render(e, "json"))["terms"], np.random.default_rng(k), []
+            while order in ([], terms):
+                order = [terms[j] for j in rng.permutation(len(terms))]
+            shuffled = parse_expansion(json.dumps({"n": n, "terms": order}))
+            assert shuffled == e and shuffled._form[1] is not e._form[1]
+            references = {format: render_loop_reference(e, format) for format in FORMATS}
+            assert references["json"] == json_payload_reference(e)
+            for expansion in (e, TraceExpansion(e.n, e.terms), shuffled):
+                assert {format: render(expansion, format) for format in FORMATS} == references
+            other = expand_polydet(n, ["PQRSTU"[sorted(names).index(label)] for label in labels])
+            for format in FORMATS:
+                assert e._form[1].template(format) is other._form[1].template(format)
 
 
 def parse_reference(payload):
@@ -688,6 +742,16 @@ def test_render_signs_and_magnitudes():
     assert render(negative_first, "text") == "-2*Tr(A) + Tr(B)"
     assert render(negative_first, "latex") == "-\\frac{2}{1}\\mathrm{Tr}(A) + \\mathrm{Tr}(B)"
     assert render(TraceExpansion(2, ()), "text") == render(TraceExpansion(2, ()), "latex") == "0"
+    assert render(TraceExpansion(2, ()), "json") == '{"n": 2, "terms": []}'
+    for expansion in (negative_first, TraceExpansion(2, ())):
+        for format in FORMATS:
+            assert render(expansion, format) == render_loop_reference(expansion, format)
+
+
+def test_render_refuses_a_term_of_no_words_or_a_word_of_no_letters():
+    for terms in ((TraceMonomial(Fraction(1), ()),), (TraceMonomial(Fraction(1), (("A",), ())),)):
+        with pytest.raises(ValueError, match="has no render"):
+            render(TraceExpansion(1, terms), "text")
 
 
 def test_render_unknown_format():
