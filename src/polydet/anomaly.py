@@ -10,11 +10,11 @@ or stack of them, is assembled from it by ``assemble_field_matrix``.
 
 The 3-flavor eps table is ``det_of_sum``'s compositions of 3 over the nine
 generators (``engines._composition_values``).  The field-expansion fit (one
-tuple per sample) and the Lorentz contraction (16) take their tuples from one
-``polydet_many`` batch, validated once.  An invariance ratio validates its
-tuple and both factors once and hands its two-row batch to the default kernel.
-Lorentz-indexed families are stacked into one array and transformed or
-metric-converted by one ``einsum``.
+tuple per sample), the Lagrangian (one per term of ``_TERMS``) and the Lorentz
+contraction (16) take their tuples from one ``polydet_many`` batch, validated
+once.  An invariance ratio validates its tuple and both factors once and hands
+its two-row batch to the default kernel.  Lorentz-indexed families are stacked
+into one array and transformed or metric-converted by one ``einsum``.
 
 The vertex expansion is array work over integer field codes: each
 structure's slot choices are one gather from the 3-flavor eps table, equal
@@ -35,7 +35,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engines import DEFAULT_ENGINE, _composition_values, _kernel, polydet, polydet_many
+from .engines import DEFAULT_ENGINE, _composition_values, _kernel, polydet_many
+from .engines import polydet  # noqa: F401  kept bound here for perfbench's traced run
 # ``det`` is the trusted stack kernel: the stacks it gets are assembled or validated here
 from .matrices import _float_array, as_matrix, det_stack as det, identity, validate_matrix_tuple
 
@@ -100,6 +101,11 @@ class Couplings:
     c3: complex
     c4: complex
     f0: float
+
+
+#: The anomalous terms, L = 2 Re sum_t c_t eps(A_t): each coupling of
+#: ``Couplings`` with the multiplets of its eps.  det A is eps(A, A, A).
+_TERMS = (("c1", (1, 1, 1)), ("c2", (2, 2, 2)), ("c3", (1, 1, 2)), ("c4", (1, 2, 2)))
 
 
 def build_generators(n: int) -> GeneratorBasis:
@@ -235,9 +241,9 @@ def check_invariance(mats: Sequence, u_left, u_right) -> InvarianceReport:
 def lagrangian_value(cfg: FieldConfiguration, couplings: Couplings, shifted: bool = False) -> float:
     """Value of the anomalous two-multiplet interaction Lagrangian.
 
-    L = 2 Re[ c1 det A1 + c2 det A2 + c3 eps(A1,A1,A2) + c4 eps(A1,A2,A2) ],
-    with A1 shifted by the vacuum value f0 t^0 when requested.  Both
-    multiplets are assembled by one call and both determinants taken by one.
+    L = 2 Re sum_t c_t eps(A_t) over the terms of ``_TERMS``, with A1 shifted
+    by the vacuum value f0 t^0 when requested.  Both multiplets are assembled
+    by one call, and the terms' eps values come from one ``polydet_many`` batch.
     """
     if cfg.n != 3:
         raise ValueError(f"the Lagrangian layer is fixed at 3 flavors, got n={cfg.n}")
@@ -246,15 +252,8 @@ def lagrangian_value(cfg: FieldConfiguration, couplings: Couplings, shifted: boo
     a = assemble_field_matrix(_BASIS3, *np.transpose(cfg.multiplets, (1, 0, 2)))
     if shifted:
         a[0] = couplings.f0 * _BASIS3.generators[0] + a[0]
-    a1, a2 = a
-    det1, det2 = det(a).tolist()
-    total = (
-        couplings.c1 * det1
-        + couplings.c2 * det2
-        + couplings.c3 * polydet([a1, a1, a2]).value
-        + couplings.c4 * polydet([a1, a2, a2]).value
-    )
-    return 2.0 * total.real
+    eps = polydet_many(a[[[k - 1 for k in slots] for _, slots in _TERMS]]).tolist()
+    return 2.0 * sum(getattr(couplings, name) * e for (name, _), e in zip(_TERMS, eps)).real
 
 
 # --- cubic field expansion of eps(A1, A1, A2) at 3 flavors ----------------
@@ -477,9 +476,9 @@ def _sorted3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _complex_monomials(couplings: Couplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(key, Re z, Im z) of every complex monomial z of the four structures.
+    """(key, Re z, Im z) of every complex monomial z of the terms of ``_TERMS``.
 
-    A key is the monomial's sorted field codes in base 19.  Each structure's
+    A key is the monomial's sorted field codes in base 19.  Each term's
     slot choices are taken at once: one gather from the eps table, and the
     non-zero ones weighted as coupling * c_0 * c_1 * c_2 * eps in that order.
     One ``bincount`` per part sums each monomial in choice order, which is
@@ -493,16 +492,10 @@ def _complex_monomials(couplings: Couplings) -> tuple[np.ndarray, np.ndarray, np
     if couplings.f0 != 0.0:  # the vacuum source f0 t^0 leads multiplet 1's, with code 0
         vacuum = (complex(couplings.f0), 0, 0)
         sources[1] = tuple(np.concatenate([[first], part]) for first, part in zip(vacuum, sources[1]))
-
-    structures = (
-        (couplings.c1, (1, 1, 1)),
-        (couplings.c2, (2, 2, 2)),
-        (couplings.c3, (1, 1, 2)),
-        (couplings.c4, (1, 2, 2)),
-    )
     # the empty first entries make all-zero couplings an empty expansion
     keys, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.complex128)]
-    for coupling, slots in structures:
+    for name, slots in _TERMS:
+        coupling = getattr(couplings, name)
         if coupling == 0:
             continue
         (c0, g0, code0), (c1, g1, code1), (c2, g2, code2) = (sources[k] for k in slots)
@@ -546,17 +539,15 @@ def _real_monomials(monos: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple[
 def enumerate_vertices(couplings: Couplings, tol: float = 1e-10) -> list[tuple[tuple[FieldSymbol, ...], float]]:
     """Exact expansion of the shifted Lagrangian into real-field monomials.
 
-    Expands each of the four interaction structures multilinearly over the
-    generator basis with A1 = f0 t^0 + fields, applies the +h.c. (twice the
-    real part), and merges; returns [(monomial, coefficient), ...] sorted by
+    Expands each term of ``_TERMS`` multilinearly over the generator basis
+    with A1 = f0 t^0 + fields, applies the +h.c. (twice the real part), and
+    merges; returns [(monomial, coefficient), ...] sorted by
     degree then monomial, keeping coefficients with |c| > tol * scale.  Both
     stages are array operations; Python builds only the output tuples.
     """
     keys, coef = _real_monomials(*_complex_monomials(couplings))
-    scale = max(
-        [abs(c) for c in (couplings.c1, couplings.c2, couplings.c3, couplings.c4)]
-        + [1e-300]
-    ) * max(1.0, abs(couplings.f0)) ** 2
+    scale = max([abs(getattr(couplings, name)) for name, _ in _TERMS] + [1e-300])
+    scale *= max(1.0, abs(couplings.f0)) ** 2
     kept = np.abs(coef) > tol * scale
     digits = np.stack([keys // 37**2, keys // 37 % 37, keys % 37])[:, kept]
     empty = np.count_nonzero(digits == 0, axis=0)
@@ -611,21 +602,27 @@ def _as_complex(value) -> complex:
 def couplings_from_json(obj) -> Couplings:
     """Parse {"c1": [re, im], ..., "f0": x}; bare numbers mean real couplings.
 
-    Every value must be finite.
+    Each coupling of ``_TERMS`` is a number, a numeric string or a [re, im]
+    pair of them, f0 a number or a numeric string, and every value must be
+    finite.  An error names the field at fault and the shape it expects.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    try:
-        couplings = Couplings(
-            c1=_as_complex(obj["c1"]),
-            c2=_as_complex(obj["c2"]),
-            c3=_as_complex(obj["c3"]),
-            c4=_as_complex(obj["c4"]),
-            f0=float(obj["f0"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid couplings JSON: {exc}") from exc
-    for name, value in vars(couplings).items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"invalid couplings JSON: {name} must be finite, got {value}")
-    return couplings
+    pair = "a number, a numeric string or a [re, im] pair"
+    fields = {name: (_as_complex, pair) for name, _ in _TERMS} | {"f0": (float, "a number or a numeric string")}
+    if not isinstance(obj, dict):
+        names = ", ".join(fields)
+        raise ValueError(f"invalid couplings JSON: expected an object of {names}, got {type(obj).__name__}")
+    values = {}
+    for name, (parse, shape) in fields.items():
+        if name not in obj:
+            raise ValueError(f"invalid couplings JSON: {name} is missing; expected {shape}")
+        try:
+            values[name] = parse(obj[name])
+        except OverflowError:  # a JSON integer beyond the float range
+            values[name] = math.inf
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid couplings JSON: {name} must be {shape}, got {obj[name]!r}") from None
+        if not cmath.isfinite(values[name]):
+            raise ValueError(f"invalid couplings JSON: {name} must be finite, got {values[name]}")
+    return Couplings(**values)

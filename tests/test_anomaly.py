@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from polydet.anomaly import (
     with_variance,
 )
 from polydet.engines import polydet, polydet_many, polydet_subset_sum
-from polydet.matrices import det_stack, identity, random_matrix
+from polydet.matrices import identity, random_matrix
 
 SQRT6 = math.sqrt(6.0)
 
@@ -393,13 +394,65 @@ def test_lagrangian_zero_fields_shifted_vacuum_energy():
     assert abs(value - expected) < 1e-12
 
 
-def test_lagrangian_takes_both_determinants_from_one_trusted_call(monkeypatch):
-    assert anomaly_module.det is det_stack
-    calls = []
-    monkeypatch.setattr(anomaly_module, "det", counting(calls, anomaly_module.det))
+def test_lagrangian_takes_every_term_from_one_batch(monkeypatch):
+    # det A is eps(A, A, A), so the four terms are one (4, 3, 3, 3) batch and no det or polydet call
+    batches, dets, single = [], [], []
+    monkeypatch.setattr(anomaly_module, "polydet_many", lambda t: batches.append(np.shape(t)) or polydet_many(t))
+    monkeypatch.setattr(anomaly_module, "det", counting(dets, anomaly_module.det))
+    monkeypatch.setattr(anomaly_module, "polydet", counting(single, anomaly_module.polydet))
     for shifted in (False, True):
         lagrangian_value(random_config(61), COUPLINGS, shifted)
-    assert calls == [2, 2]
+    assert batches == [(4, 3, 3, 3)] * 2
+    assert dets == [] and single == []
+
+
+def exact_eps(mats):
+    """eps as the permutation-pair sum in complex Fractions: exact on the floats' binary values."""
+    n = len(mats)
+    entries = [[[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m.tolist()] for m in mats]
+    perms = [
+        (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+        for perm in itertools.permutations(range(n))
+    ]
+    total_x = total_y = Fraction(0)
+    for sigma, sign_s in perms:
+        for tau, sign_t in perms:
+            x, y = Fraction(sign_s * sign_t), Fraction(0)
+            for k in range(n):
+                u, v = entries[k][sigma[k]][tau[k]]
+                x, y = x * u - y * v, x * v + y * u
+            total_x, total_y = total_x + x, total_y + y
+    return total_x / math.factorial(n), total_y / math.factorial(n)
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("source", ["bundled", 3, 17, 29, 61, 88])
+def test_lagrangian_is_the_exact_term_sum_to_rounding(source, shifted):
+    if source == "bundled":
+        cfg = field_config_from_json(json.loads((BUNDLED / "fields_n3.json").read_text()))
+        couplings = couplings_from_json(json.loads((BUNDLED / "couplings.json").read_text()))
+    else:
+        cfg, couplings = random_config(source), COUPLINGS
+    basis = build_generators(3)
+    a1, a2 = (assemble_field_matrix(basis, m.s, m.p) for m in cfg.multiplets)
+    if shifted:
+        a1 = couplings.f0 * basis.generators[0] + a1
+    exact, size = Fraction(0), 0.0
+    for c, mats in (
+        (couplings.c1, [a1, a1, a1]),
+        (couplings.c2, [a2, a2, a2]),
+        (couplings.c3, [a1, a1, a2]),
+        (couplings.c4, [a1, a2, a2]),
+    ):
+        x, y = exact_eps(mats)
+        c = complex(c)
+        exact += 2 * (Fraction(c.real) * x - Fraction(c.imag) * y)
+        size += abs(c * complex(x, y))
+    # the unshifted value of the bundled config (-0.0052) cancels, so the scale is sum_t |c_t eps(A_t)|
+    assert abs(Fraction(lagrangian_value(cfg, couplings, shifted)) - exact) <= 1e-14 * size
 
 
 def test_lagrangian_is_real_with_conjugate_pair():

@@ -408,6 +408,31 @@ def test_anomaly_rejects_non_finite_couplings(capsys, tmp_path, field, value, sh
     assert captured.err == f"polydet: error: invalid couplings JSON: {field} must be finite, got {shown}\n"
 
 
+VALID_COUPLINGS = {"c1": 1.2, "c2": 0.8, "c3": [0.5, 0.1], "c4": [-0.3, 0.2], "f0": 0.9}
+PAIR = "a number, a numeric string or a [re, im] pair"
+
+
+@pytest.mark.parametrize(
+    "couplings, message",
+    [
+        ([1.2, 0.8], "expected an object of c1, c2, c3, c4, f0, got list"),
+        ({k: v for k, v in VALID_COUPLINGS.items() if k != "f0"}, "f0 is missing; expected a number or a numeric string"),
+        ({**VALID_COUPLINGS, "c1": [1, 2, 3]}, f"c1 must be {PAIR}, got [1, 2, 3]"),
+        ({**VALID_COUPLINGS, "c1": {"re": 1}}, f"c1 must be {PAIR}, got {{'re': 1}}"),
+        ({**VALID_COUPLINGS, "f0": 10**400}, "f0 must be finite, got inf"),
+    ],
+    ids=("list-payload", "missing-f0", "three-parts", "object-value", "integer-beyond-float"),
+)
+def test_anomaly_names_the_coupling_at_fault(capsys, tmp_path, couplings, message):
+    path = tmp_path / "couplings.json"
+    path.write_text(json.dumps(couplings))
+    fields = str(REPO_ROOT / "configs" / "fields_n3.json")
+    assert cli.main(["anomaly", fields, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polydet: error: invalid couplings JSON: {message}\n"
+
+
 def test_compute_out_file(capsys, tmp_path, two_files):
     target = tmp_path / "result.json"
     code = cli.main(["compute", *two_files, "--out", str(target)])
