@@ -592,11 +592,17 @@ def field_config_from_json(obj) -> FieldConfiguration:
     return FieldConfiguration(n, tuple(multiplets))
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):  # float() takes a JSON true as 1
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         re, im = value
-        return complex(float(re), float(im))
-    return complex(float(value), 0.0)
+        return complex(_number(re), _number(im))
+    return complex(_number(value), 0.0)
 
 
 def couplings_from_json(obj) -> Couplings:
@@ -604,15 +610,18 @@ def couplings_from_json(obj) -> Couplings:
 
     Each coupling of ``_TERMS`` is a number, a numeric string or a [re, im]
     pair of them, f0 a number or a numeric string, and every value must be
-    finite.  An error names the field at fault and the shape it expects.
+    finite; a boolean is no number, and no other key is taken.  An error
+    names the field at fault and the shape it expects.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     pair = "a number, a numeric string or a [re, im] pair"
-    fields = {name: (_as_complex, pair) for name, _ in _TERMS} | {"f0": (float, "a number or a numeric string")}
+    fields = {name: (_as_complex, pair) for name, _ in _TERMS} | {"f0": (_number, "a number or a numeric string")}
+    names = ", ".join(fields)
     if not isinstance(obj, dict):
-        names = ", ".join(fields)
         raise ValueError(f"invalid couplings JSON: expected an object of {names}, got {type(obj).__name__}")
+    if unknown := [key for key in obj if key not in fields]:
+        raise ValueError(f"invalid couplings JSON: unknown key {unknown[0]!r}; expected {names}")
     values = {}
     for name, (parse, shape) in fields.items():
         if name not in obj:

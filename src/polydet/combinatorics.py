@@ -1,5 +1,5 @@
-"""Signs and cycle covers of permutations, subsets, partition vectors and
-cyclic trace words, shared by the engines and the symbolic layer.
+"""Signs and cycle covers of permutations, subsets, partitions, compositions
+and cyclic trace words, shared by the engines and the symbolic layer.
 
 One cycle walk gives both permutation signs and the cycle covers behind the
 trace expansion.  Only subsets are one-based, following the tensor
@@ -79,6 +79,16 @@ def cycle_covers(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     return tuple(_cycle_walk(p) for p in itertools.permutations(range(n)))
 
 
+def _ascending_partitions(n: int, parts: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """Every partition of n into at most ``parts`` parts of at least ``smallest``, ascending."""
+    if n == 0:
+        yield ()
+    elif parts:
+        for m in range(smallest, n + 1):
+            for rest in _ascending_partitions(n - m, parts - 1, m):
+                yield (m, *rest)
+
+
 def enumerate_partition_vectors(n: int) -> list[tuple[int, ...]]:
     """All (n1, ..., nN) with sum k*nk = N, as the integer partitions of N.
 
@@ -87,22 +97,8 @@ def enumerate_partition_vectors(n: int) -> list[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    found: list[tuple[int, ...]] = []
-
-    def fill(rest: int, k: int, counts: list[int]) -> None:
-        if k > n:
-            if rest == 0:
-                found.append(tuple(counts))
-            return
-        max_ct = rest // k
-        for ct in range(max_ct + 1):
-            counts.append(ct)
-            fill(rest - k * ct, k + 1, counts)
-            counts.pop()
-
-    fill(n, 1, [])
-    found.sort(key=lambda c: (-sum(c), tuple(-x for x in c)))
-    return found
+    vectors = (tuple(map(p.count, range(1, n + 1))) for p in _ascending_partitions(n, n))
+    return sorted(vectors, key=lambda c: (-sum(c), tuple(-x for x in c)))
 
 
 def canonicalize(word: Sequence) -> tuple:
@@ -180,21 +176,16 @@ def compositions(total: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-tuples of non-negative integers summing to total, lexicographically
     descending (so (total, 0, ..., 0) comes first).
 
-    Iterative: the next tuple moves one unit from the last non-zero part
-    before the final one to its right neighbour, which also takes the
-    final part, so a yield costs O(r) at any r.
+    Composition (k_1, ..., k_r) counts the entries of the sorted tuple that
+    repeats j k_j times, as ``itertools.combinations_with_replacement`` lists
+    them; sorted tuples ascending are compositions descending.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    comp = [total] + [0] * (r - 1)
-    while True:
-        yield tuple(comp)
-        i = r - 2
-        while i >= 0 and not comp[i]:
-            i -= 1
-        if i < 0:
-            return
-        rest = comp[-1]
-        comp[-1] = 0
-        comp[i] -= 1
-        comp[i + 1] = rest + 1
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
+    for repeated in itertools.combinations_with_replacement(range(r), total):
+        counts = [0] * r
+        for j in repeated:
+            counts[j] += 1
+        yield tuple(counts)

@@ -64,13 +64,14 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .combinatorics import (
     SUBSET_MAX_N,
     GuardLimitError,
+    _ascending_partitions,
     compositions,  # noqa: F401  kept bound here for perfbench's traced run
     iterate_subsets,  # noqa: F401  kept bound here for perfbench's traced run
     multinomial,
@@ -416,16 +417,6 @@ def polydet_many(tuples: Sequence, engine: Optional[str] = None) -> np.ndarray:
     return _kernel(name, n)(batch)
 
 
-def _ascending_partitions(n: int, parts: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
-    """Every partition of n into at most ``parts`` parts of at least ``smallest``, ascending."""
-    if n == 0:
-        yield ()
-    elif parts:
-        for m in range(smallest, n + 1):
-            for rest in _ascending_partitions(n - m, parts - 1, m):
-                yield (m, *rest)
-
-
 @lru_cache(maxsize=256)
 def _det_of_sum_work(n: int, r: int) -> int:
     """The predicted cost of ``det_of_sum``'s first call at N = n and r summands, in steps.
@@ -449,8 +440,8 @@ def _det_of_sum_work(n: int, r: int) -> int:
 def _composition_table(n: int, r: int):
     """The compositions of n into r parts as their repeated tuples, in ``compositions`` order.
 
-    Composition (k_1, ..., k_r) is the sorted tuple that repeats summand j k_j times; sorted
-    tuples ascending are compositions descending.  Returns (tuples, weights, grids): the (C, n)
+    Composition (k_1, ..., k_r) is the sorted tuple that repeats summand j k_j times, from the
+    listing ``compositions`` counts off.  Returns (tuples, weights, grids): the (C, n)
     tuples, the (C,) float multinomial of each and, per multiplicity pattern, (pattern,
     positions, order).  Where the roots grid pays, the pattern is that of the tuple's runs and
     order[i] their summands by length, then index, as ``polydet`` orders distinct arguments;

@@ -68,13 +68,29 @@ def _shape(part, name: str) -> tuple[int, ...]:
         raise ValueError(f"{name} is ragged: its nested lists do not form an array") from None
 
 
+def _numbers(part, name: str) -> None:
+    """Raise ValueError naming the field if an entry of ``part`` is not a number."""
+    for entry in np.asarray(part, dtype=object).flat:
+        try:
+            float(entry)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{name} contains non-finite entries") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must hold numbers, got {entry!r}") from None
+
+
 def _float_array(part, name: str) -> np.ndarray:
-    """A JSON field as a float array; a ragged one raises ValueError naming it."""
+    """A JSON field as a float array; a ragged one, or one holding a non-number, raises
+    ValueError naming it.  A JSON NaN or Infinity passes, for the caller's finite check."""
     try:
-        return np.asarray(part, dtype=np.float64)
-    except ValueError:
+        a = np.asarray(part, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
         _shape(part, name)
+        _numbers(part, name)
         raise
+    if np.isnan(a).any():  # a JSON null converts to NaN
+        _numbers(part, name)
+    return a
 
 
 def _as_square(m, name: str, ndim: int) -> np.ndarray:

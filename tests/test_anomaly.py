@@ -959,3 +959,32 @@ def test_couplings_reject_non_finite_values(field, bad):
     obj[field] = bad if field == "f0" else [1, bad]
     with pytest.raises(ValueError, match=f"^invalid couplings JSON: {field} must be finite"):
         couplings_from_json(obj)
+
+
+# --- refused arguments ------------------------------------------------------------
+
+
+def _vector(n=3):
+    return LorentzIndexedFamily(1, tuple(np.eye(n) for _ in range(4)), ("lower",))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: axial_phase_law(1, 0.1, 3), "flavor count must be >= 2, got 1"),
+        (lambda: evaluate_field_polynomial([0j] * 8, [0j] * 9), "need 9 complex components per multiplet"),
+        (lambda: LorentzIndexedFamily(3, (np.eye(3),) * 64, ("upper",) * 3), "rank must be 1 or 2, got 3"),
+        (lambda: with_variance(_vector(), ("lower", "upper")), "variance ('lower', 'upper') does not match rank 1"),
+        (
+            lambda: lorentz_contracted_polydet(
+                _vector(2), LorentzIndexedFamily(2, tuple(np.eye(2) for _ in range(16)), ("upper", "upper"))
+            ),
+            "components must be 3x3 matrices",
+        ),
+        (lambda: boost_matrix(0.3, axis=0), "axis must be 1, 2 or 3, got 0"),
+    ],
+    ids=("one-flavor", "eight-components", "rank-3", "variance-of-rank-2", "2x2-components", "time-axis"),
+)
+def test_refused_arguments_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

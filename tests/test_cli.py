@@ -115,6 +115,34 @@ def test_compute_rejects_a_bad_declared_n(capsys, tmp_path, payload, message):
     assert err == f"polydet: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("x", "must hold numbers, got 'x'"),
+        ({}, "must hold numbers, got {}"),
+        (None, "must hold numbers, got None"),
+        (10**400, "contains non-finite entries"),
+    ],
+    ids=("string", "object", "null", "integer-beyond-float"),
+)
+@pytest.mark.parametrize("field", ("re", "im"))
+def test_compute_names_a_field_that_holds_a_non_number(capsys, tmp_path, field, entry, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1, 2], [3, 4]], field: [[1, 2], [3, entry]]}))
+    assert cli.main(["compute", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f'polydet: error: "{field}" {message}\n'
+
+
+@pytest.mark.parametrize("entry", (math.nan, math.inf))
+def test_compute_refuses_a_json_nan_or_infinity_as_non_finite(capsys, tmp_path, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1, 2], [3, entry]]}))
+    assert cli.main(["compute", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == "polydet: error: matrix contains non-finite entries\n"
+
+
 @pytest.mark.parametrize("field", ("re", "im"))
 def test_compute_names_a_ragged_field(capsys, tmp_path, field):
     path = tmp_path / "m.json"
@@ -355,6 +383,14 @@ def test_anomaly_text_report(capsys):
     assert "lagrangian" in out
 
 
+def test_anomaly_needs_two_multiplets(capsys, tmp_path):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps({"n": 3, "multiplets": [{"s": [0.1] * 9}]}))
+    couplings = str(REPO_ROOT / "configs" / "couplings.json")
+    assert cli.main(["anomaly", str(path), couplings]) == 2
+    assert capsys.readouterr().err == "polydet: error: need at least two multiplets\n"
+
+
 def test_anomaly_malformed_input_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3}')
@@ -431,6 +467,58 @@ def test_anomaly_names_the_coupling_at_fault(capsys, tmp_path, couplings, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"polydet: error: invalid couplings JSON: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "couplings, message",
+    [
+        (
+            {"c1": True, "c2": 0, "c3": 0, "c4": 0, "f0": 0.9, "c5": 7},
+            "unknown key 'c5'; expected c1, c2, c3, c4, f0",
+        ),
+        ({**VALID_COUPLINGS, "C1": 7}, "unknown key 'C1'; expected c1, c2, c3, c4, f0"),
+        ({**VALID_COUPLINGS, "c1": True}, f"c1 must be {PAIR}, got True"),
+        ({**VALID_COUPLINGS, "c3": [0.5, False]}, f"c3 must be {PAIR}, got [0.5, False]"),
+        ({**VALID_COUPLINGS, "f0": True}, "f0 must be a number or a numeric string, got True"),
+    ],
+    ids=("unknown-key", "misspelt-key", "boolean-coupling", "boolean-in-pair", "boolean-f0"),
+)
+def test_anomaly_refuses_unknown_keys_and_booleans_in_couplings(capsys, tmp_path, couplings, message):
+    path = tmp_path / "couplings.json"
+    path.write_text(json.dumps(couplings))
+    fields = str(REPO_ROOT / "configs" / "fields_n3.json")
+    assert cli.main(["anomaly", fields, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"polydet: error: invalid couplings JSON: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 2, "multiplets": [{"s": ["a", 0, 0, 0]}, {}]}, "multiplet 0 \"s\" must hold numbers, got 'a'"),
+        ({"n": 2, "multiplets": [{}, {"p": [0, {}, 0, 0]}]}, 'multiplet 1 "p" must hold numbers, got {}'),
+        ({"n": 2, "multiplets": [{"s": [0, 0, None, 0]}, {}]}, 'multiplet 0 "s" must hold numbers, got None'),
+        ({"n": 3, "multiplets": [{"s": [0, 0, math.nan] + [0] * 6}, {}]}, "multiplet 0 contains non-finite components"),
+        ({"n": 2, "multiplets": [{}, {"p": [math.inf, 0, 0, 0]}]}, "multiplet 1 contains non-finite components"),
+    ],
+    ids=("string-in-s", "object-in-p", "null-in-s", "nan-in-s", "infinity-in-p"),
+)
+def test_anomaly_names_a_component_field_that_holds_a_non_number(capsys, tmp_path, fields, message):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(fields))  # math.nan and math.inf are written as JSON NaN and Infinity
+    couplings = str(REPO_ROOT / "configs" / "couplings.json")
+    assert cli.main(["anomaly", str(path), couplings, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"polydet: error: {message}\n"
+
+
+def test_verify_refuses_an_empty_range(capsys):
+    assert cli.main(["verify", "--n", "5..2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "polydet: error: empty range '5..2'\n"
 
 
 def test_compute_out_file(capsys, tmp_path, two_files):

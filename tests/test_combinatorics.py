@@ -3,12 +3,14 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polydet.combinatorics import (
     GuardLimitError,
+    canonicalize,
     cayley_hamilton_coefficient,
     compositions,
     count_distinct_terms,
@@ -18,6 +20,7 @@ from polydet.combinatorics import (
     multinomial,
     permutation_sign,
 )
+from polydet.engines import _composition_table
 
 
 def inversion_parity(seq):
@@ -48,6 +51,31 @@ def test_partition_vectors_n3():
 
 def test_partition_vectors_n5_count():
     assert len(enumerate_partition_vectors(5)) == 7
+
+
+def partition_vectors_reference(n):
+    """The count vectors of n filled in word length by word length, then sorted: the
+    recursive enumeration ``enumerate_partition_vectors`` once ran, kept as its oracle."""
+    found = []
+
+    def fill(rest, k, counts):
+        if k > n:
+            if rest == 0:
+                found.append(tuple(counts))
+            return
+        for ct in range(rest // k + 1):
+            counts.append(ct)
+            fill(rest - k * ct, k + 1, counts)
+            counts.pop()
+
+    fill(n, 1, [])
+    found.sort(key=lambda c: (-sum(c), tuple(-x for x in c)))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_partition_vectors_match_the_recursive_reference(n):
+    assert enumerate_partition_vectors(n) == partition_vectors_reference(n)
 
 
 def test_partition_vectors_deterministic_order():
@@ -208,3 +236,30 @@ def test_compositions_list_long_tuples_without_recursion():
         count += 1
     assert count == 3000
     assert list(compositions(0, 3)) == [(0, 0, 0)]
+
+
+def test_compositions_refuse_a_negative_total():
+    with pytest.raises(ValueError, match=r"^total must be >= 0, got -1$"):
+        list(compositions(-1, 2))
+
+
+@pytest.mark.parametrize("n, r", [(3, 9), (5, 5)])
+def test_composition_table_counts_to_the_compositions(n, r):
+    # det_of_sum's repeated tuples and the compositions are one listing, in one order
+    tuples = _composition_table(n, r)[0]
+    assert [tuple(np.bincount(t, minlength=r).tolist()) for t in tuples] == list(compositions(n, r))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_partition_vectors(0), "n must be >= 1, got 0"),
+        (lambda: canonicalize([]), "empty trace word"),
+        (lambda: list(iterate_subsets(0)), "n must be >= 1, got 0"),
+        (lambda: list(compositions(2, 0)), "r must be >= 1, got 0"),
+    ],
+    ids=("partition-vectors-of-0", "empty-word", "subsets-of-0", "compositions-into-0-parts"),
+)
+def test_empty_enumerations_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -327,3 +327,8 @@ def test_trace_sum_plan_matches_explicit_products_on_random_terms(seed):
 
 def test_trace_sum_plan_of_no_terms_is_zero():
     assert trace_sum_plan([])(np.empty((0, 2, 2), dtype=complex)) == 0j
+
+
+def test_random_matrix_refuses_dimension_zero():
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+        random_matrix(0, 1)
