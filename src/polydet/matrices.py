@@ -69,9 +69,12 @@ def _shape(part, name: str) -> tuple[int, ...]:
 
 
 def _numbers(part, name: str) -> None:
-    """Raise ValueError naming the field if an entry of ``part`` is not a number."""
+    """Raise ValueError naming the field if an entry of ``part`` is not a
+    number; a boolean or a string is none, though ``float`` reads them."""
     for entry in np.asarray(part, dtype=object).flat:
         try:
+            if isinstance(entry, (bool, np.bool_, str, bytes)):
+                raise TypeError
             float(entry)
         except OverflowError:  # a JSON integer beyond the float range
             raise ValueError(f"{name} contains non-finite entries") from None
@@ -80,17 +83,12 @@ def _numbers(part, name: str) -> None:
 
 
 def _float_array(part, name: str) -> np.ndarray:
-    """A JSON field as a float array; a ragged one, or one holding a non-number, raises
-    ValueError naming it.  A JSON NaN or Infinity passes, for the caller's finite check."""
-    try:
-        a = np.asarray(part, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        _shape(part, name)
-        _numbers(part, name)
-        raise
-    if np.isnan(a).any():  # a JSON null converts to NaN
-        _numbers(part, name)
-    return a
+    """A JSON field as a float array; a ragged one, or one holding a non-number (a
+    boolean, a string or a null), raises ValueError naming it.  A JSON NaN or Infinity
+    passes, for the caller's finite check."""
+    _shape(part, name)
+    _numbers(part, name)
+    return np.asarray(part, dtype=np.float64)
 
 
 def _as_square(m, name: str, ndim: int) -> np.ndarray:

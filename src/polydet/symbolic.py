@@ -11,11 +11,12 @@ one.  It numbers the distinct labels 0, ..., r-1 in sorted order and looks
 up the class table of their multiplicities: the expansion's id form (its
 distinct words spelled in label ids, and each term's coefficient and word
 indices), built once per pattern by the cycle-cover loop (at most 62
-patterns for n <= 6).  Spelling the ids in the labels is injective and
-keeps order, so a call only spells each distinct word once.  An expansion
-from ``expand_polydet``, or parsed from its json render, carries its class
-table's form and the plan compiled with it; any other builds its form on
-first use.  :func:`render` and :func:`evaluate` read the form, and the
+patterns for n <= 6).  An expansion from ``expand_polydet``, or parsed
+from its json render, is that form and the sorted labels: it carries the
+plan compiled with the form, and spells its terms only when they are first
+read, each distinct word once (spelling the ids in the labels is injective
+and keeps order).  Any other expansion holds its terms and builds its form
+on first use.  :func:`render` and :func:`evaluate` read the form, and the
 trace-formula engine evaluates the all-distinct pattern's plan.  A render
 fills the form's template in its format, compiled once per form and format:
 static pieces, a few strings shared by all their places, with a slot for
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -67,15 +68,38 @@ class TraceMonomial(NamedTuple):
     words: tuple[Word, ...]  # canonical words, sorted
 
 
-@dataclass(frozen=True)
 class TraceExpansion:
-    n: int
-    terms: tuple[TraceMonomial, ...]
+    """An expansion of n slots: its terms, each an exact coefficient and
+    its canonical words.
+
+    ``TraceExpansion(n, terms)`` holds the terms as given.  An expansion
+    from ``expand_polydet``, or parsed from its json render, holds its
+    class table's form and the labels instead, and spells ``terms`` from
+    them on first access, once.  Equality, hashing, repr and pickles read
+    ``terms``, so the two kinds agree, byte for byte in a pickle; two
+    expansions of the same form and labels are equal without spelling.
+    Expansions are immutable.
+    """
+
+    __match_args__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: tuple[TraceMonomial, ...]):
+        self.__dict__.update(n=n, terms=terms)
+
+    @cached_property
+    def terms(self) -> tuple[TraceMonomial, ...]:
+        """Spelled from the form: each of its words once, in the labels, and
+        each term's words picked from them, which keeps the form's
+        canonical rotations and word and term order."""
+        labels, form = self._form
+        spelled = tuple([speller(labels) for speller in form.spellers])
+        new = tuple.__new__  # a TraceMonomial without its Python-level __new__
+        return tuple([new(TraceMonomial, (coef, pick(spelled))) for (coef, _), pick in zip(form.terms, form.pickers)])
 
     @cached_property
     def _form(self) -> tuple[tuple[str, ...], _Form]:
         """(labels, form): the labels in sorted order, and the terms spelled
-        in their ids.  ``expand_polydet`` sets its class table's."""
+        in their ids."""
         words: dict[Word, IdWord] = dict.fromkeys(chain.from_iterable([t.words for t in self.terms]))
         labels = tuple(sorted(set(chain.from_iterable(words))))
         slots = {label: i for i, label in enumerate(labels)}
@@ -83,9 +107,28 @@ class TraceExpansion:
             words[w] = tuple(map(slots.__getitem__, w))
         return labels, _Form(self.n, [(coef, [words[w] for w in listed]) for coef, listed in self.terms])
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__.get("_form"), other.__dict__.get("_form")
+        if mine is not None and theirs is not None and mine[1] is theirs[1]:
+            return mine[0] == theirs[0]  # every term spells every label
+        return (self.n, self.terms) == (other.n, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terms))
+
+    def __repr__(self) -> str:
+        return f"TraceExpansion(n={self.n!r}, terms={self.terms!r})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise FrozenInstanceError(f"an expansion is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __getstate__(self) -> dict:
         """Pickle the fields alone: the form is a cache, rebuilt on demand."""
-        return {name: value for name, value in self.__dict__.items() if name != "_form"}
+        return {"n": self.n, "terms": self.terms}
 
 
 def _term_key(words: tuple[Word, ...]) -> tuple:
@@ -132,8 +175,8 @@ class _Form:
     """An expansion's n and its terms spelled in label ids: its distinct
     words, in order of first appearance, and its terms as (coefficient,
     indices of their words), with the pickers of each word's letters and
-    each term's words.  Its plan, and its template in each render format,
-    are made on first use and kept.
+    each term's words, and both again as flat numpy arrays.  Its plan, and
+    its template in each render format, are made on first use and kept.
 
     A template is the render with a slot in place of every letter: the
     static pieces between the slots, and the picker of the label ids that
@@ -149,8 +192,14 @@ class _Form:
         self.n = n
         self.words = tuple(index)
         self.terms: tuple[IdTerm, ...] = tuple([(coef, tuple(map(index.__getitem__, words))) for coef, words in terms])
+        listed = [js for _, js in self.terms]
         self.spellers = tuple(map(_picker, self.words))  # per word: takes its letters from the labels
-        self.pickers = tuple([_picker(js) for _, js in self.terms])  # per term: takes its words by index
+        self.pickers = tuple(map(_picker, listed))  # per term: takes its words by index
+        # per word its letters, and per term its words, counted and listed one after another, for the render slots
+        self.lengths = np.fromiter(map(len, self.words), np.intp, len(self.words))
+        self.letters = np.fromiter(chain.from_iterable(self.words), np.intp, self.lengths.sum())
+        self.counts = np.fromiter(map(len, listed), np.intp, len(listed))
+        self.slots = np.fromiter(chain.from_iterable(listed), np.intp, self.counts.sum())
         self._templates: dict[str, tuple[list, Callable[[Sequence], Sequence]]] = {}
 
     @cached_property
@@ -175,17 +224,14 @@ class _Form:
         and the picker of the gap after each letter but the last from a
         format's gap pieces: 0 inside a word, 1 between a term's words, and
         2 + k before a term whose coefficient is the k-th distinct one."""
-        listed = [js for _, js in self.terms]
-        counts = np.fromiter(map(len, listed), np.intp, len(listed))  # per term: its words
-        lengths = np.fromiter(map(len, self.words), np.intp, len(self.words))  # per word: its letters
+        counts, lengths, slots = self.counts, self.lengths, self.slots
         if not (counts.all() and lengths.all()):
             raise ValueError("an expansion with a term of no words or a word of no letters has no render")
-        slots = np.fromiter(chain.from_iterable(listed), np.intp)  # the words of every term, in order
         sizes = lengths[slots]
         ends = np.cumsum(sizes)  # the letters up to the end of each
         owner = np.repeat(np.arange(len(slots)), sizes)  # each letter's place among the words
         shift = np.cumsum(lengths)[slots] - ends  # from a letter's place to its place in the words' letters
-        letters = np.fromiter(chain.from_iterable(self.words), np.intp)[np.arange(len(owner)) + shift[owner]]
+        letters = self.letters[np.arange(len(owner)) + shift[owner]]
         gaps = np.zeros(max(len(letters) - 1, 0), np.intp)
         gaps[ends[:-1] - 1] = 1
         gaps[ends[np.cumsum(counts)[:-1] - 1] - 1] = 2 + self._coefficients[1][1:]
@@ -246,11 +292,12 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     n! eps(A_1, ..., A_n) = sum_sigma sgn(sigma) prod_{cycles (i_1 ... i_L) of sigma}
     Tr(A_{i_1} ... A_{i_L}).  The sum is taken once per multiplicity
     pattern (``_class_table``), over the distinct labels numbered in
-    sorted order; each call spells that table's words in its labels and
-    picks each term's words from them, which keeps its canonical
-    rotations and word and term order.  The expansion carries the table's
-    form, so ``evaluate`` compiles nothing and ``render`` spells nothing
-    per term.
+    sorted order.  A call checks its arguments, looks up that table and
+    returns the expansion of its form in the sorted labels, so
+    ``evaluate`` compiles nothing and ``render`` spells nothing per term.
+    Its ``terms`` are spelled on first access, once: the table's words in
+    the labels, and each term's words picked from them, which keeps the
+    canonical rotations and word and term order.
     """
     if not 2 <= n <= EXPAND_MAX_N:
         raise GuardLimitError(f"expansion guarded at 2 <= n <= {EXPAND_MAX_N}, got n={n}")
@@ -260,12 +307,8 @@ def expand_polydet(n: int, labels: Sequence[str]) -> TraceExpansion:
     if "" in labels:
         raise ValueError(f"label {labels.index('') + 1} of {n} is empty")
     names = tuple(sorted(set(labels)))
-    form = _class_table(tuple(map(labels.count, names)))
-    spelled = tuple([speller(names) for speller in form.spellers])
-    new = tuple.__new__  # a TraceMonomial without its Python-level __new__
-    terms = [new(TraceMonomial, (coef, pick(spelled))) for (coef, _), pick in zip(form.terms, form.pickers)]
-    expansion = TraceExpansion(n, tuple(terms))
-    expansion.__dict__["_form"] = names, form
+    expansion = TraceExpansion.__new__(TraceExpansion)  # its terms unspelled, until read
+    expansion.__dict__.update(n=n, _form=(names, _class_table(tuple(map(labels.count, names)))))
     return expansion
 
 

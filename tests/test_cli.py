@@ -122,8 +122,11 @@ def test_compute_rejects_a_bad_declared_n(capsys, tmp_path, payload, message):
         ({}, "must hold numbers, got {}"),
         (None, "must hold numbers, got None"),
         (10**400, "contains non-finite entries"),
+        # float() reads both, but neither is a JSON number
+        ("2", "must hold numbers, got '2'"),
+        (True, "must hold numbers, got True"),
     ],
-    ids=("string", "object", "null", "integer-beyond-float"),
+    ids=("string", "object", "null", "integer-beyond-float", "numeric-string", "boolean"),
 )
 @pytest.mark.parametrize("field", ("re", "im"))
 def test_compute_names_a_field_that_holds_a_non_number(capsys, tmp_path, field, entry, message):
@@ -501,8 +504,10 @@ def test_anomaly_refuses_unknown_keys_and_booleans_in_couplings(capsys, tmp_path
         ({"n": 2, "multiplets": [{"s": [0, 0, None, 0]}, {}]}, 'multiplet 0 "s" must hold numbers, got None'),
         ({"n": 3, "multiplets": [{"s": [0, 0, math.nan] + [0] * 6}, {}]}, "multiplet 0 contains non-finite components"),
         ({"n": 2, "multiplets": [{}, {"p": [math.inf, 0, 0, 0]}]}, "multiplet 1 contains non-finite components"),
+        ({"n": 2, "multiplets": [{"s": [True, "2", 0, 0]}, {}]}, 'multiplet 0 "s" must hold numbers, got True'),
+        ({"n": 2, "multiplets": [{}, {"p": [0, "2", 0, 0]}]}, "multiplet 1 \"p\" must hold numbers, got '2'"),
     ],
-    ids=("string-in-s", "object-in-p", "null-in-s", "nan-in-s", "infinity-in-p"),
+    ids=("string-in-s", "object-in-p", "null-in-s", "nan-in-s", "infinity-in-p", "boolean-in-s", "numeric-string-in-p"),
 )
 def test_anomaly_names_a_component_field_that_holds_a_non_number(capsys, tmp_path, fields, message):
     path = tmp_path / "fields.json"

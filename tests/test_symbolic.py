@@ -400,6 +400,58 @@ def test_evaluated_expansion_still_round_trips():
     assert render(reloaded, "latex") == rendered["latex"]
 
 
+def eager_terms(n, labels):
+    """The terms of expand_polydet(n, labels) spelled in full, as a call once built them:
+    the class table's words spelled in the sorted labels, and each term's words picked
+    from them."""
+    names = tuple(sorted(set(labels)))
+    form = symbolic_module._class_table(tuple(map(labels.count, names)))
+    spelled = tuple(speller(names) for speller in form.spellers)
+    return tuple(TraceMonomial(coef, pick(spelled)) for (coef, _), pick in zip(form.terms, form.pickers))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lazy_terms_equal_the_eager_spelling_on_every_multiplicity_pattern(n):
+    for k, pattern in enumerate(multiplicity_patterns(n)):
+        labels = slot_labels(pattern, "PQRSTU", 700 + 10 * n + k)
+        e = expand_polydet(n, labels)
+        assert "terms" not in e.__dict__
+        reference = eager_terms(n, labels)
+        assert e.terms == reference and all(type(term) is TraceMonomial for term in e.terms)
+        assert e.terms is e.terms  # spelled once, then kept
+
+
+@pytest.mark.parametrize("labels", ["ABCDEF", "AAABBC", "ABC", "xx"])
+def test_a_lazy_expansion_agrees_with_its_eager_copy(labels):
+    # pickle and hash read the terms; the pickle is taken first, while the terms are unbuilt
+    n = len(labels)
+    lazy, eager = expand_polydet(n, labels), TraceExpansion(n, eager_terms(n, labels))
+    assert pickle.dumps(lazy) == pickle.dumps(eager)
+    assert hash(expand_polydet(n, labels)) == hash(eager)
+    assert expand_polydet(n, labels) == eager and eager == expand_polydet(n, labels)
+    assert repr(expand_polydet(n, labels)) == repr(eager)
+    reloaded = pickle.loads(pickle.dumps(expand_polydet(n, labels)))
+    assert reloaded == lazy and reloaded.__dict__.keys() == {"n", "terms"}
+    with pytest.raises(AttributeError):
+        lazy.terms = eager.terms
+
+
+def test_expansions_of_one_form_compare_by_their_labels():
+    a, b, c = expand_polydet(3, "ABC"), expand_polydet(3, "CBA"), expand_polydet(3, "XYZ")
+    assert a == b and a != c
+    assert all("terms" not in e.__dict__ for e in (a, b, c))
+
+
+def test_expand_render_evaluate_and_parse_leave_the_terms_unbuilt():
+    labels = "ABCDEF"
+    e = expand_polydet(6, labels)
+    rendered = {format: render(e, format) for format in ("text", "latex", "json")}
+    evaluate(e, {label: random_matrix(6, 3960 + k) for k, label in enumerate(labels)})
+    parsed = parse_expansion(rendered["json"])
+    assert render(parsed, "json") == rendered["json"] and parsed == e
+    assert "terms" not in e.__dict__ and "terms" not in parsed.__dict__
+
+
 def commuting_tuple(rng, rows, scales):
     """A_k = s_k U diag(d_k) U^H with d_k the Gaussian integers rows[k] / 4, U Haar-random."""
     n = len(rows[0])
