@@ -86,9 +86,18 @@ def _float_array(part, name: str) -> np.ndarray:
     """A JSON field as a float array; a ragged one, or one holding a non-number (a
     boolean, a string or a null), raises ValueError naming it.  A JSON NaN or Infinity
     passes, for the caller's finite check."""
-    _shape(part, name)
-    _numbers(part, name)
-    return np.asarray(part, dtype=np.float64)
+    try:
+        a = np.asarray(part, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        _shape(part, name)
+        _numbers(part, name)
+        raise
+    entries = [part]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not {int, float}.issuperset(map(type, entries)):  # a boolean, a string or a null converts without error
+        _numbers(part, name)
+    return a
 
 
 def _as_square(m, name: str, ndim: int) -> np.ndarray:
