@@ -62,9 +62,8 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -113,8 +112,7 @@ _DET_OF_SUM_LEIBNIZ_OFFSET = 150
 _DET_OF_SUM_BUDGET = 7e8
 
 
-@dataclass(frozen=True)
-class PolydetResult:
+class PolydetResult(NamedTuple):
     value: complex
     engine: str
     n: int
@@ -317,25 +315,32 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     one ``_grid_values`` call runs per multiplicity pattern: tuples with
     repeated arguments whose roots grid pays are taken on it, the rest (at
     N <= 3, the whole batch in row order) as pattern (1, ..., 1) over their
-    own argument positions, on the +-1 sign grid.
+    own argument positions, on the +-1 sign grid.  A batch whose rows share
+    one pattern goes to ``_grid_values`` whole.
     """
     b, n = batch.shape[:2]
+    signs = (1,) * n
     groups: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    rest = []  # the rows on the sign grid
     for row in range(b) if n > LEIBNIZ_MAX_N else ():
         plan = _row_plan(batch[row])
         if plan:
             rows, index = groups.setdefault(plan[0], ([], []))
             rows.append(row)
             index.append([row * n + k for k in plan[1]])
+        else:
+            rest.append(row)
     if not groups:
-        return _grid_values(batch, None, (1,) * n)
+        return _grid_values(batch, None, signs)
     mats = batch.reshape(-1, n, n)
-    rest = np.delete(np.arange(b), [row for rows, _ in groups.values() for row in rows])
-    groups[(1,) * n] = (rest, rest[:, None] * n + np.arange(n))
+    if rest:
+        groups[signs] = (rest, np.array(rest)[:, None] * n + np.arange(n))
+    if len(groups) == 1:
+        ((pattern, (_, index)),) = groups.items()
+        return _grid_values(mats, np.asarray(index), pattern)
     out = np.empty(b, dtype=np.complex128)
     for pattern, (rows, index) in groups.items():
-        if len(rows):
-            out[rows] = _grid_values(mats, np.asarray(index), pattern)
+        out[rows] = _grid_values(mats, np.asarray(index), pattern)
     return out
 
 
