@@ -26,20 +26,6 @@ __all__ = ["PropertyResult", "run_property_suite", "PROPERTY_NAMES", "report_lin
 
 TOL = REL_TOL
 
-PROPERTY_NAMES = (
-    "determinant_collapse",
-    "exchange_symmetry",
-    "linearity",
-    "identity_trace",
-    "conjugation_invariance",
-    "subset_det_identity",
-    "det_of_sum_identity",
-    "factorization",
-    "volume_form",
-    "cross_engine",
-)
-
-
 class PropertyResult(NamedTuple):
     name: str
     n: int
@@ -78,8 +64,7 @@ def _rand_tuple(rng: np.random.Generator, n: int) -> list[np.ndarray]:
 # One trial of each property: draw its instance, run the engines other than the
 # default, and return (the tuples whose default-engine values it needs, the
 # function from those values, in that order, to its (value, expected) pairs).
-Pairs = Callable[[list], list]
-Draw = tuple[list, Pairs]
+Draw = tuple[list, Callable[[list], list]]
 
 
 def _determinant_collapse(rng, n, engines) -> Draw:
@@ -170,6 +155,9 @@ _DRAWS: dict[str, Callable[..., Draw]] = {
     "volume_form": _volume_form,
     "cross_engine": _cross_engine,
 }
+
+#: The property names in suite order; a property's RNG stream is keyed on its index here.
+PROPERTY_NAMES = tuple(_DRAWS)
 
 #: Trials per ``polydet_many`` batch: at most 3 x 64 tuples, 1.5 MB at n = 5.
 _BLOCK = 64
