@@ -29,6 +29,7 @@ import cmath
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -71,7 +72,8 @@ UNITARY_TOL = 1e-8
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-class GeneratorBasis(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class GeneratorBasis:
     n: int
     generators: np.ndarray  # read-only (n^2, n, n) stack, t^0 first, then the traceless ones
 
@@ -80,23 +82,20 @@ class GeneratorBasis(NamedTuple):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.generators, other.generators)
 
-    def __ne__(self, other: object) -> bool:
-        # tuple's own != would compare the arrays and raise
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
 
 class Multiplet(NamedTuple):
     s: np.ndarray  # scalar components, length n^2
     p: np.ndarray  # pseudoscalar components, length n^2
 
 
-class FieldConfiguration(NamedTuple):
+@dataclass(frozen=True)
+class FieldConfiguration:
     n: int
     multiplets: tuple[Multiplet, ...]
 
 
-class Couplings(NamedTuple):
+@dataclass(frozen=True)
+class Couplings:
     c1: complex
     c2: complex
     c3: complex
@@ -357,23 +356,21 @@ def verify_field_expansion(seed: int, samples: int = 200) -> FieldExpansionRepor
 # --- Lorentz-indexed families ----------------------------------------------
 
 
-class _LorentzFields(NamedTuple):
+@dataclass(frozen=True)
+class LorentzIndexedFamily:
     rank: int
     components: tuple[np.ndarray, ...]  # 4 (rank 1) or 16, mu-major (rank 2)
     variance: tuple[str, ...]  # "upper" or "lower" per index
 
-
-class LorentzIndexedFamily(_LorentzFields):
-    __slots__ = ()
-
-    def __new__(cls, rank: int, components: tuple[np.ndarray, ...], variance: tuple[str, ...]):
-        if rank not in (1, 2):
-            raise ValueError(f"rank must be 1 or 2, got {rank}")
-        if len(components) != 4**rank:
-            raise ValueError(f"rank {rank} needs {4 ** rank} components, got {len(components)}")
-        if len(variance) != rank or any(v not in ("upper", "lower") for v in variance):
-            raise ValueError(f"invalid variance declaration {variance}")
-        return super().__new__(cls, rank, components, variance)
+    def __post_init__(self):
+        if self.rank not in (1, 2):
+            raise ValueError(f"rank must be 1 or 2, got {self.rank}")
+        if len(self.components) != 4**self.rank:
+            raise ValueError(
+                f"rank {self.rank} needs {4 ** self.rank} components, got {len(self.components)}"
+            )
+        if len(self.variance) != self.rank or any(v not in ("upper", "lower") for v in self.variance):
+            raise ValueError(f"invalid variance declaration {self.variance}")
 
 
 def _stacked(fam: LorentzIndexedFamily) -> np.ndarray:

